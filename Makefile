@@ -85,6 +85,25 @@ racestress:
 	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys' ./internal/cache/
 	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition' ./internal/cluster/
 
+# Flake hunt: repeated runs that expose scheduling-dependent failures
+# on a small host — the transport package 10 times, the whole tree 4
+# times (packages run in parallel, so every test also runs under load).
+.PHONY: flakehunt
+flakehunt:
+	go test -count=10 ./internal/transport/
+	go test -count=4 ./...
+
+# Tracked surface figures of the two core packages: non-test lines of
+# Go and exported declarations (funcs, methods and types, as go doc
+# lists them).
+.PHONY: surface
+surface:
+	@for p in internal/transport internal/cluster; do \
+		lines=$$(cat $$(ls $$p/*.go | grep -v '_test\.go$$') | wc -l); \
+		decls=$$(go doc -all ./$$p | grep -cE '^func |^    func |^type '); \
+		echo "$$p: $$lines non-test lines, $$decls exported declarations"; \
+	done
+
 # Observability checks alone: obs + collector + transport tests under
 # the race detector, the two-leg smoke (traced-RPC scrape + three-node
 # trace pipeline over the collector's HTTP views), the E30 cross-site

@@ -78,17 +78,14 @@ func run() error {
 		return err
 	}
 	defer cli.Close() //mits:allow errdrop smoke teardown
-	db := transport.DBClient{C: cli}
+	sc := obs.NewTraceContext()
+	db := transport.DBClient{C: cli}.WithTrace(sc)
 	doc, err := db.GetSelectedDoc("atm-course")
 	if err != nil {
 		return fmt.Errorf("GetSelectedDoc: %w", err)
 	}
 	if len(doc.Data) == 0 {
 		return fmt.Errorf("GetSelectedDoc returned an empty document")
-	}
-	trace := cli.LastTrace()
-	if trace == 0 {
-		return fmt.Errorf("client call produced no trace ID")
 	}
 
 	resp, err := http.Get("http://" + stats.Addr + "/stats")
@@ -102,7 +99,7 @@ func run() error {
 	}
 	text := string(body)
 
-	return verify(text, trace)
+	return verify(text, sc.Trace)
 }
 
 // runTraceLeg wires the cross-site trace pipeline end to end: three
@@ -167,8 +164,9 @@ func runTraceLeg() error {
 		exporter.Close() //mits:allow errdrop smoke teardown
 		return err
 	}
-	_, trace, err := nav.CallTraced(transport.MethodGetContent, req)
-	if err != nil {
+	sc := obs.NewTraceContext()
+	trace := sc.Trace
+	if _, err := nav.CallInTrace(sc, transport.MethodGetContent, req); err != nil {
 		exporter.Close() //mits:allow errdrop smoke teardown
 		return fmt.Errorf("GetContent through the edge: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"mits/internal/cache"
@@ -18,10 +19,12 @@ import (
 // stallMux interposes a handler-level stall on the store's GetContent
 // before delegating to the real mux, keeping the injected latency
 // inside the store's *server* span — the placement that lets the
-// collector's critical path attribute it to the right hop.
+// collector's critical path attribute it to the right hop. The stall
+// is a real wait and also moves the span clock by the same amount.
 type stallMux struct {
-	mux *transport.Mux
-	inj *faults.Injector
+	mux   *transport.Mux
+	inj   *faults.Injector
+	clock *spanClock
 }
 
 func (s stallMux) Handle(method string, payload []byte) ([]byte, error) {
@@ -32,10 +35,24 @@ func (s stallMux) HandleCtx(sc obs.SpanContext, method string, payload []byte) (
 	if method == transport.MethodGetContent {
 		if d := s.inj.CallStall(method); d > 0 {
 			time.Sleep(d) //mits:allow sleepless injected store-side stall is a real wall-clock wait
+			s.clock.advance(d)
 		}
 	}
 	return s.mux.HandleCtx(sc, method, payload)
 }
+
+// spanClock is E30's controlled span clock: it stands still except
+// where the experiment moves it, so span durations carry exactly the
+// injected stall and none of the host's scheduling noise (on a loaded
+// host, goroutine wake-ups alone can add milliseconds to every hop).
+type spanClock struct {
+	base time.Time
+	off  atomic.Int64 // nanoseconds advanced so far
+}
+
+func (c *spanClock) now() time.Time { return c.base.Add(time.Duration(c.off.Load())) }
+
+func (c *spanClock) advance(d time.Duration) { c.off.Add(int64(d)) }
 
 // E30TraceCollection reproduces the operational question behind the
 // trace pipeline (DESIGN §11): a student's video request is slow —
@@ -46,7 +63,9 @@ func (s stallMux) HandleCtx(sc obs.SpanContext, method string, payload []byte) (
 // same RPC transport to a collector whose tail sampler keeps the slow
 // trace and drops the healthy control call; the assembled trace's
 // critical path must put ≥90% of the root's latency in the store's
-// server span, localizing the stall to the correct hop and side.
+// server span, localizing the stall to the correct hop and side. Spans
+// are timed on a controlled clock that only the stall moves, so the
+// shares depend on where the stall sits in the trace, not on host load.
 func E30TraceCollection() (*Report, error) {
 	r := &Report{
 		ID: "E30", Figure: "DESIGN §11", Title: "Cross-site trace collection localizes a store-side stall",
@@ -58,6 +77,10 @@ func E30TraceCollection() (*Report, error) {
 		slowThreshold = 25 * time.Millisecond
 	)
 
+	clock := &spanClock{base: time.Now()}
+	obs.Default.SetSpanClock(clock.now)
+	defer obs.Default.SetSpanClock(nil)
+
 	// Store node, with the injected stall in front of the real mux.
 	store := mediastore.New()
 	if err := store.PutContent("store/v.mpg", "MPEG", make([]byte, 64<<10)); err != nil {
@@ -66,7 +89,7 @@ func E30TraceCollection() (*Report, error) {
 	storeMux := transport.NewMux()
 	transport.RegisterStore(storeMux, store)
 	inj := faults.NewInjector(faults.Scenario{StallProb: 1, StallFor: stall}, 30)
-	storeSrv := transport.NewTCPServer(stallMux{mux: storeMux, inj: inj})
+	storeSrv := transport.NewTCPServer(stallMux{mux: storeMux, inj: inj, clock: clock})
 	storeAddr, err := storeSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -112,12 +135,12 @@ func E30TraceCollection() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, slowTrace, err := nav.CallTraced(transport.MethodGetContent, req)
-	if err != nil {
+	slow, control := obs.NewTraceContext(), obs.NewTraceContext()
+	slowTrace, controlTrace := slow.Trace, control.Trace
+	if _, err := nav.CallInTrace(slow, transport.MethodGetContent, req); err != nil {
 		return nil, err
 	}
-	_, controlTrace, err := nav.CallTraced(transport.MethodListDocs, nil)
-	if err != nil {
+	if _, err := nav.CallInTrace(control, transport.MethodListDocs, nil); err != nil {
 		return nil, err
 	}
 

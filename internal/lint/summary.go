@@ -126,7 +126,7 @@ func (ps *PackageSummary) Func(id FuncID) *FuncSummary {
 // blockingCallNames mirrors deadlinecheck's view of potentially
 // indefinite blocking I/O method names.
 var blockingCallNames = map[string]bool{
-	"Call": true, "CallTraced": true,
+	"Call": true,
 	"Read": true, "Write": true,
 	"Send": true, "Recv": true, "Receive": true,
 	"Accept": true, "Wait": true,

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // spanRingSize bounds the finished-span buffer each registry keeps for
@@ -45,6 +46,7 @@ type Registry struct {
 	spanHistMu sync.RWMutex
 	spanHists  map[spanHistKey]*Histogram
 	spanSink   atomic.Pointer[func(*Span)]
+	spanClock  atomic.Pointer[func() time.Time] // see SetSpanClock; nil = wall clock
 
 	logState // see log.go
 }

@@ -49,6 +49,14 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{Trace: s.Trace, Parent: s.ID}
 }
 
+// NewTraceContext mints a fresh trace: a new trace ID with no parent
+// span, so the first span opened under it is the trace's root. A
+// caller that needs a call's trace ID (to find the trace afterwards)
+// mints it here and passes the context into the call.
+func NewTraceContext() SpanContext {
+	return SpanContext{Trace: TraceID(nonZero(rand.Uint64()))}
+}
+
 // SpanFromContext opens a child span under sc in the Default registry,
 // or returns nil (a no-op span) when sc carries no trace — the idiom
 // for instrumenting internal work only when somebody upstream is
@@ -103,7 +111,7 @@ func (r *Registry) newSpan(name, kind string, trace TraceID, parent SpanID) *Spa
 		Parent: parent,
 		Name:   name,
 		Kind:   kind,
-		Start:  time.Now(),
+		Start:  r.spanNow(),
 		reg:    r,
 	}
 }
@@ -127,7 +135,7 @@ func (s *Span) End(err error) {
 		return
 	}
 	s.ended = true
-	s.Dur = time.Since(s.Start)
+	s.Dur = s.reg.spanNow().Sub(s.Start)
 	if err != nil {
 		s.Err = err.Error()
 	}
@@ -179,6 +187,28 @@ func (r *Registry) recordSpan(s *Span) {
 	if fn := r.spanSink.Load(); fn != nil {
 		(*fn)(s)
 	}
+}
+
+// SetSpanClock replaces the time source spans are stamped with; nil
+// restores the wall clock. It is for runs that must attribute latency
+// exactly: with a clock that moves only where the run moves it, span
+// durations carry the injected delays and none of the host's
+// scheduling noise.
+func (r *Registry) SetSpanClock(now func() time.Time) {
+	if now == nil {
+		r.spanClock.Store(nil)
+		return
+	}
+	clock := now //mits:allow atomicmix boxed before publication, never touched again
+	r.spanClock.Store(&clock)
+}
+
+// spanNow reads the span clock.
+func (r *Registry) spanNow() time.Time {
+	if fn := r.spanClock.Load(); fn != nil {
+		return (*fn)()
+	}
+	return time.Now()
 }
 
 // SetSpanSink installs fn to be called with every span finished in

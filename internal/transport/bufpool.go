@@ -18,7 +18,7 @@ import "sync"
 //     AND its response was encoded into the batch (Handler documents
 //     that payloads do not outlive the call);
 //   - client response buffers are pooled too, but recycling is opt-in:
-//     the pooled call API (CallPooled / CallInTracePooled) hands the
+//     the pooled call API (CallInTracePooled) hands the
 //     caller a release callback, and a caller that drops it — every
 //     plain Call — simply lets the buffer fall to the GC. putBuf runs
 //     only via release, so an un-released buffer can never be handed

@@ -127,12 +127,6 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 // the call over asynchronous carriers (ATM sessions).
 func EncodeGetDoc(name string) ([]byte, error) { return gobEncode(getDocReq{Name: name}) }
 
-// DecodeDocRecord decodes a Get_Selected_Doc response payload.
-func DecodeDocRecord(data []byte) (*mediastore.DocRecord, error) {
-	var rec mediastore.DocRecord
-	return &rec, gobDecode(data, &rec)
-}
-
 // EncodeGetContent encodes a GetContent request payload.
 func EncodeGetContent(ref string) ([]byte, error) { return gobEncode(getContentReq{Ref: ref}) }
 
@@ -187,11 +181,6 @@ func EncodeNameList(names []string) ([]byte, error) { return gobEncode(names) }
 func DecodeNameList(payload []byte) ([]string, error) {
 	var names []string
 	return names, gobDecode(payload, &names)
-}
-
-// EncodeKeywordQuery encodes a GetDocByKeyword request payload.
-func EncodeKeywordQuery(keyword string) ([]byte, error) {
-	return gobEncode(keywordReq{Keyword: keyword})
 }
 
 // EncodeKeywordTree encodes a GetKeywordTree response payload.
@@ -458,16 +447,4 @@ func (f ForwardHandler) HandleCtx(sc obs.SpanContext, method string, payload []b
 	// the upstream writer still referencing payload — forward a private
 	// copy.
 	return d.call(method, append([]byte(nil), payload...))
-}
-
-// NewCachedResilientDBClient is NewResilientDBClient with a content
-// cache of cacheBytes in front — the full deployment stack of a
-// navigator site (cache over breaker over retry over redial). The
-// cache composes cleanly with the resilience layer because it sits
-// above it: a hit never touches the breaker, a miss takes the whole
-// hardened path, and fill errors are not cached so recovery is
-// immediate.
-func NewCachedResilientDBClient(peer string, dial Dialer, policy RetryPolicy, threshold int, cooldown time.Duration, seed uint64, cacheBytes int64) (DBClient, *Breaker) {
-	d, br := NewResilientDBClient(peer, dial, policy, threshold, cooldown, seed)
-	return d.WithContentCache(cache.New("content:"+peer, cacheBytes)), br
 }

@@ -22,45 +22,29 @@ import (
 // database API layer.
 const MaxFrame = 16 << 20
 
-// frameKind distinguishes requests from responses on a duplex carrier,
-// and doubles as the header version: the v1 kinds carry no trace
-// fields, the v2 kinds insert a 16-byte trace context (trace ID + span
-// ID) between the frame id and the name, and the v3 kinds insert an
-// 8-byte request-correlation ID followed by the 16-byte trace context
-// (zero trace = untraced). The correlation ID is what lets one
-// connection carry many in-flight calls: the multiplexed client keys
-// its pending-call map on it and the server echoes it, so responses
-// may complete out of order. Compatibility is decode-side only:
-// decoders accept all three layouts, so persisted frames keep
-// decoding and a v3 client still matches v1/v2 responses (by frame
-// id) from a server that does not echo correlation IDs. The converse
-// does not hold — the multiplexed client correlates every request and
-// therefore always emits v3, which a pre-v3 decoder rejects as a bad
-// frame; in a rolling upgrade, servers must understand v3 before
-// clients start speaking it. Encoders emit the lowest version that
-// carries the data (v3 exactly when a correlation ID is attached, v2
-// when only a trace is), which keeps untraced uncorrelated wire bytes
-// identical to the v1 format.
+// frameKind distinguishes requests from responses on a duplex carrier.
 type frameKind byte
 
 const (
 	kindRequest frameKind = iota + 1
 	kindResponse
-	kindRequestV2
-	kindResponseV2
-	kindRequestV3
-	kindResponseV3
 )
 
-// frame is the wire unit: id pairs responses to requests, method names
-// the operation (requests) and errText carries failure (responses).
-// trace/span carry the obs trace context (zero = untraced); corr is
-// the v3 request-correlation ID (zero = uncorrelated, i.e. the peer
-// runs one call at a time).
+// frameHeader is the fixed head of every frame, up to and including
+// the name length: kind(1) id(8) trace(8) span(8) nameLen(4). The name
+// (method or error text) follows, then payLen(4) and the payload.
+const frameHeader = 1 + 8 + 8 + 8 + 4
+
+// frame is the wire unit, one layout on both carriers. id is the
+// request-correlation ID: the client picks it, the server echoes it,
+// and the client's pending-call map is keyed on it, which is what lets
+// one connection carry many in-flight calls completing out of order.
+// trace/span carry the obs trace context (zero trace = untraced).
+// method names the operation (requests); errText carries failure
+// (responses).
 type frame struct {
 	kind    frameKind
 	id      uint64
-	corr    uint64
 	trace   uint64
 	span    uint64
 	method  string // requests
@@ -76,46 +60,28 @@ type frame struct {
 	buf []byte
 }
 
+// name is the frame's variable-length string field.
+func (f *frame) name() string {
+	if f.kind == kindResponse {
+		return f.errText
+	}
+	return f.method
+}
+
 // wireSize reports the marshalled body length, so writers can size a
 // pooled buffer before encoding.
 func (f *frame) wireSize() int {
-	name := f.method
-	if f.kind == kindResponse {
-		name = f.errText
-	}
-	size := 1 + 8 + 4 + len(name) + 4 + len(f.payload)
-	switch {
-	case f.corr != 0:
-		size += 8 + 16 // correlation ID + trace context, always present in v3
-	case f.trace != 0:
-		size += 16
-	}
-	return size
+	return frameHeader + len(f.name()) + 4 + len(f.payload)
 }
 
 // appendTo encodes the frame body (without the outer length prefix TCP
 // adds) onto buf, returning the extended slice.
 func (f *frame) appendTo(buf []byte) []byte {
-	name := f.method
-	if f.kind == kindResponse {
-		name = f.errText
-	}
-	kind := f.kind
-	switch {
-	case f.corr != 0:
-		kind += kindRequestV3 - kindRequest
-	case f.trace != 0:
-		kind += kindRequestV2 - kindRequest
-	}
-	buf = append(buf, byte(kind))
+	name := f.name()
+	buf = append(buf, byte(f.kind))
 	buf = binary.BigEndian.AppendUint64(buf, f.id)
-	if f.corr != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, f.corr)
-	}
-	if f.corr != 0 || f.trace != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, f.trace)
-		buf = binary.BigEndian.AppendUint64(buf, f.span)
-	}
+	buf = binary.BigEndian.AppendUint64(buf, f.trace)
+	buf = binary.BigEndian.AppendUint64(buf, f.span)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(name)))
 	buf = append(buf, name...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.payload)))
@@ -135,49 +101,30 @@ func (f *frame) marshal() []byte {
 // malformed traffic from timeouts and hangups.
 var ErrBadFrame = errors.New("transport: malformed frame")
 
-// errBadFrame is the internal alias predating the export.
-var errBadFrame = ErrBadFrame
-
 func unmarshalFrame(data []byte) (*frame, error) {
-	if len(data) < 1+8+4 {
-		return nil, errBadFrame
+	if len(data) < frameHeader {
+		return nil, ErrBadFrame
 	}
-	f := &frame{kind: frameKind(data[0]), id: binary.BigEndian.Uint64(data[1:])}
-	off := 9
-	switch f.kind {
-	case kindRequest, kindResponse:
-		// v1: no trace context.
-	case kindRequestV2, kindResponseV2:
-		if len(data) < 1+8+16+4 {
-			return nil, errBadFrame
-		}
-		f.trace = binary.BigEndian.Uint64(data[off:])
-		f.span = binary.BigEndian.Uint64(data[off+8:])
-		f.kind -= kindRequestV2 - kindRequest
-		off += 16
-	case kindRequestV3, kindResponseV3:
-		if len(data) < 1+8+8+16+4 {
-			return nil, errBadFrame
-		}
-		f.corr = binary.BigEndian.Uint64(data[off:])
-		f.trace = binary.BigEndian.Uint64(data[off+8:])
-		f.span = binary.BigEndian.Uint64(data[off+16:])
-		f.kind -= kindRequestV3 - kindRequest
-		off += 24
-	default:
-		return nil, fmt.Errorf("%w: kind %d", errBadFrame, f.kind)
+	f := &frame{
+		kind:  frameKind(data[0]),
+		id:    binary.BigEndian.Uint64(data[1:]),
+		trace: binary.BigEndian.Uint64(data[9:]),
+		span:  binary.BigEndian.Uint64(data[17:]),
 	}
-	nameLen := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
+	if f.kind != kindRequest && f.kind != kindResponse {
+		return nil, fmt.Errorf("%w: kind %d", ErrBadFrame, f.kind)
+	}
+	nameLen := int(binary.BigEndian.Uint32(data[25:]))
+	off := frameHeader
 	if nameLen < 0 || off+nameLen+4 > len(data) {
-		return nil, errBadFrame
+		return nil, ErrBadFrame
 	}
 	name := string(data[off : off+nameLen])
 	off += nameLen
 	payLen := int(binary.BigEndian.Uint32(data[off:]))
 	off += 4
 	if payLen < 0 || off+payLen != len(data) {
-		return nil, errBadFrame
+		return nil, ErrBadFrame
 	}
 	if f.kind == kindRequest {
 		f.method = name
@@ -211,9 +158,9 @@ func (f HandlerFunc) Handle(method string, payload []byte) ([]byte, error) {
 // CtxHandler is the trace-aware handler contract: HandleCtx receives
 // the span context of the server span opened for the request (zero
 // when the request is untraced), so nested work — an internal span, a
-// further RPC to another site — lands in the same trace. The TCP
-// server and the loopback carrier probe for it once and fall back to
-// Handler when absent, so trace-blind handlers keep working unchanged.
+// further RPC to another site — lands in the same trace. NewTCPServer
+// wraps a trace-blind Handler into one once, and the loopback carrier
+// falls back to Handle, so trace-blind handlers keep working unchanged.
 type CtxHandler interface {
 	HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error)
 }
@@ -310,7 +257,7 @@ type PooledTraceCaller interface {
 
 // CallInTracePooled issues a call through the pooled decode path when
 // the client supports it, degrading to CallInTrace (nil release, plain
-// heap payload) when it does not — resilience wrappers and test fakes
+// heap payload) when it does not — the loopback carrier and test fakes
 // keep working unchanged, they just skip the recycling.
 func CallInTracePooled(c Client, sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	if pc, ok := c.(PooledTraceCaller); ok {

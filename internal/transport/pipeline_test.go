@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,55 +12,7 @@ import (
 
 	"mits/internal/faults"
 	"mits/internal/lint/leaktest"
-	"mits/internal/obs"
 )
-
-// --- frame v3 unit coverage (mirrors the v2 regression suite) ---
-
-// TestFrameV3RoundTrip checks the correlation ID (and the trace context
-// riding behind it) survives the v3 encoding in both kinds.
-func TestFrameV3RoundTrip(t *testing.T) {
-	for _, kind := range []frameKind{kindRequest, kindResponse} {
-		f := &frame{kind: kind, id: 9, corr: 77, trace: 0xdeadbeefcafe, span: 42, payload: []byte{1, 2, 3}}
-		if kind == kindRequest {
-			f.method = "db.GetContent"
-		} else {
-			f.errText = "boom"
-		}
-		got, err := unmarshalFrame(f.marshal())
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		if got.kind != kind || got.corr != 77 || got.trace != f.trace || got.span != f.span || got.id != 9 {
-			t.Fatalf("kind %d round trip mangled: %+v", kind, got)
-		}
-	}
-}
-
-// TestFrameV3UntracedRoundTrip pins that a correlated-but-untraced
-// frame keeps its correlation ID (the trace context encodes as zeros).
-func TestFrameV3UntracedRoundTrip(t *testing.T) {
-	f := &frame{kind: kindRequest, id: 5, corr: 5, method: "m"}
-	got, err := unmarshalFrame(f.marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.corr != 5 || got.trace != 0 || got.span != 0 {
-		t.Fatalf("untraced v3 mangled: %+v", got)
-	}
-}
-
-// TestFrameV3Truncated makes sure a v3 kind with a short body errors
-// instead of reading out of bounds.
-func TestFrameV3Truncated(t *testing.T) {
-	f := &frame{kind: kindRequest, id: 1, corr: 2, trace: 5, span: 6, method: "m"}
-	raw := f.marshal()
-	for n := 1; n < 1+8+8+16+4; n++ {
-		if _, err := unmarshalFrame(raw[:n]); err == nil {
-			t.Fatalf("truncated v3 frame of %d bytes decoded", n)
-		}
-	}
-}
 
 // --- pipelining behaviour over real TCP ---
 
@@ -154,13 +107,13 @@ func TestUnknownCorrelationResponse(t *testing.T) {
 			return
 		}
 		// First a response for a correlation ID that was never issued…
-		bogus := &frame{kind: kindResponse, id: 9999, corr: 9999, payload: []byte("ghost")}
+		bogus := &frame{kind: kindResponse, id: 9999, payload: []byte("ghost")}
 		if err := writeFrame(conn, bogus); err != nil {
 			srvErr <- err
 			return
 		}
 		// …then the real one.
-		real := &frame{kind: kindResponse, id: req.id, corr: req.corr, payload: req.payload}
+		real := &frame{kind: kindResponse, id: req.id, payload: req.payload}
 		srvErr <- writeFrame(conn, real)
 	}()
 
@@ -179,46 +132,6 @@ func TestUnknownCorrelationResponse(t *testing.T) {
 	}
 	if got := obsUnknownCorr.Value() - before; got != 1 {
 		t.Fatalf("unknown-corr counter moved by %d, want 1", got)
-	}
-}
-
-// TestPreUpgradePeerResponseMatchesByID covers the compatibility path:
-// a pre-v3 peer echoes only the frame id (no correlation field), and
-// the client must still match the response.
-func TestPreUpgradePeerResponseMatchesByID(t *testing.T) {
-	leaktest.Check(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	srvErr := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			srvErr <- err
-			return
-		}
-		defer conn.Close()
-		req, err := readFrame(conn, false)
-		if err != nil {
-			srvErr <- err
-			return
-		}
-		// A v1 response: same id, no correlation ID, no trace.
-		srvErr <- writeFrame(conn, &frame{kind: kindResponse, id: req.id, payload: req.payload})
-	}()
-	cli := mustDial(t, ln.Addr().String())
-	defer cli.Close()
-	out, err := cli.Call("echo", []byte("v1"))
-	if err != nil {
-		t.Fatalf("call against v1-style peer: %v", err)
-	}
-	if string(out) != "v1" {
-		t.Fatalf("payload %q", out)
-	}
-	if err := <-srvErr; err != nil {
-		t.Fatalf("scripted server: %v", err)
 	}
 }
 
@@ -369,55 +282,6 @@ func TestCallTimeoutKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestCallTracedPerCall is the LastTrace fix: under concurrency every
-// call reports its own trace ID, all distinct, each with a server span
-// joined to it.
-func TestCallTracedPerCall(t *testing.T) {
-	leaktest.Check(t)
-	srv, addr := pipelineServer(t, nil, nil)
-	defer srv.Close()
-	cli, err := DialTCP(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	const calls = 16
-	traces := make([]obs.TraceID, calls)
-	var wg sync.WaitGroup
-	for i := 0; i < calls; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, trace, err := cli.CallTraced("echo", []byte{byte(i)})
-			if err != nil {
-				t.Errorf("call %d: %v", i, err)
-			}
-			traces[i] = trace
-		}(i)
-	}
-	wg.Wait()
-	seen := make(map[obs.TraceID]bool, calls)
-	for i, tr := range traces {
-		if tr == 0 {
-			t.Fatalf("call %d reported zero trace", i)
-		}
-		if seen[tr] {
-			t.Fatalf("trace %s reported by two calls", tr)
-		}
-		seen[tr] = true
-		foundServer := false
-		for _, s := range obs.Default.SpansOf(tr) {
-			if s.Kind == "server" {
-				foundServer = true
-			}
-		}
-		if !foundServer {
-			t.Fatalf("trace %s has no server span", tr)
-		}
-	}
-}
-
 // TestPipelineStress64 is the -race stress gate: 64 goroutines hammer
 // one client; every response must round-trip its own payload (no
 // cross-delivery between correlation IDs).
@@ -521,13 +385,16 @@ func TestEnqueueBlockedCallersReleasedOnConnDeath(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	c := NewTCPClient(cliConn)
 
-	// More callers than the writer (1 frame in its hands, stalled on
-	// the unread pipe) plus the send queue can absorb, so the overflow
-	// is parked in the enqueue select.
-	const callers = sendQueueDepth + 8
+	// Park the writer on exactly one frame first. The writer coalesces
+	// everything queued at each wakeup, so with many callers racing it
+	// could grab more than the overflow margin before blocking and the
+	// queue could never fill. With one caller alone, the writer holds
+	// that one frame; reading its first byte proves the writer is
+	// inside the flush, where the unread pipe now stalls it for good.
+	const callers = 1 + sendQueueDepth + 8
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
+	call := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -535,7 +402,16 @@ func TestEnqueueBlockedCallersReleasedOnConnDeath(t *testing.T) {
 			errs <- err
 		}()
 	}
+	call()
+	if _, err := io.ReadFull(srvConn, make([]byte, 1)); err != nil {
+		t.Fatalf("writer never started the first frame: %v", err)
+	}
 
+	// Then more callers than the send queue can absorb, so the overflow
+	// is parked in the enqueue select.
+	for i := 1; i < callers; i++ {
+		call()
+	}
 	waitFor(t, func() bool {
 		c.mu.Lock()
 		registered := len(c.pending)
@@ -576,7 +452,7 @@ func TestWriteLoopSkipsAbandonedFrames(t *testing.T) {
 	// Hand the writer a frame whose call has already been abandoned —
 	// the state abandon() leaves behind when the deadline fires with
 	// the frame still in the queue.
-	dead := &pendingCall{req: &frame{kind: kindRequest, id: 999, corr: 999, method: "dead"}, done: make(chan struct{})}
+	dead := &pendingCall{req: &frame{kind: kindRequest, id: 999, method: "dead"}, done: make(chan struct{})}
 	dead.abandoned.Store(true)
 	c.sendq <- dead
 
@@ -595,7 +471,7 @@ func TestWriteLoopSkipsAbandonedFrames(t *testing.T) {
 	if f.method != "live" {
 		t.Fatalf("first frame on the wire is %q, want the abandoned %q skipped", f.method, "dead")
 	}
-	if err := writeFrame(srvConn, &frame{kind: kindResponse, id: f.id, corr: f.corr}); err != nil {
+	if err := writeFrame(srvConn, &frame{kind: kindResponse, id: f.id}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-live; err != nil {

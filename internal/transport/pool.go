@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"mits/internal/obs"
 )
@@ -73,34 +72,6 @@ func DialTCPPool(addr string, n int) (*ClientPool, error) {
 	return NewClientPool(stripes), nil
 }
 
-// PoolDialer adapts DialTCPPool to the resilience layer's Dialer, the
-// pool analogue of `func() (Client, error) { return DialTCP(addr) }`:
-// the retry client redials a whole fresh pool when the current one
-// dies. timeout sets every stripe's per-call deadline (0 = none).
-func PoolDialer(addr string, n int, timeout time.Duration) Dialer {
-	return func() (Client, error) {
-		p, err := DialTCPPool(addr, n)
-		if err != nil {
-			return nil, err
-		}
-		p.SetTimeout(timeout)
-		return p, nil
-	}
-}
-
-// SetTimeout sets the per-call deadline on every stripe. Like
-// TCPClient.Timeout it must be set before the first call.
-func (p *ClientPool) SetTimeout(d time.Duration) {
-	for _, c := range p.stripes {
-		c.mu.Lock()
-		c.Timeout = d
-		c.mu.Unlock()
-	}
-}
-
-// Conns reports the stripe count.
-func (p *ClientPool) Conns() int { return len(p.stripes) }
-
 // pick chooses the next stripe round-robin, skipping stripes that have
 // already died so new calls are not fed to a known-dead connection.
 // With every stripe dead it returns one anyway — the call fails with
@@ -120,17 +91,14 @@ func (p *ClientPool) pick() *TCPClient {
 
 // Call implements Client on the next stripe.
 func (p *ClientPool) Call(method string, payload []byte) ([]byte, error) {
-	return p.pick().Call(method, payload)
-}
-
-// CallTraced mirrors TCPClient.CallTraced on the next stripe.
-func (p *ClientPool) CallTraced(method string, payload []byte) ([]byte, obs.TraceID, error) {
-	return p.pick().CallTraced(method, payload)
+	out, _, err := p.CallInTracePooled(obs.SpanContext{}, method, payload)
+	return out, err
 }
 
 // CallInTrace implements TraceCaller on the next stripe.
 func (p *ClientPool) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	return p.pick().CallInTrace(sc, method, payload)
+	out, _, err := p.CallInTracePooled(sc, method, payload)
+	return out, err
 }
 
 // CallInTracePooled implements PooledTraceCaller on the next stripe.

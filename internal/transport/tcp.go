@@ -155,11 +155,7 @@ func readBody(r io.Reader, n int, pooled bool) ([]byte, error) {
 // responses are matched to requests by correlation ID, so they may
 // complete out of order behind a pipelined client.
 type TCPServer struct {
-	handler Handler
-
-	// ctxHandler is handler's CtxHandler view, probed once at
-	// construction; nil for trace-blind handlers.
-	ctxHandler CtxHandler
+	handler CtxHandler
 
 	// ConnTimeout, when set, bounds each frame read and write on every
 	// connection (a per-operation deadline): a stalled or vanished
@@ -189,10 +185,16 @@ const DefaultMaxInFlight = 32
 
 // NewTCPServer wraps a handler. When h also implements CtxHandler, the
 // server threads each request's trace context through HandleCtx so
-// nested RPCs stay in the caller's trace.
+// nested RPCs stay in the caller's trace; a trace-blind h is adapted
+// once here, so dispatch has a single path.
 func NewTCPServer(h Handler) *TCPServer {
-	ch, _ := h.(CtxHandler)
-	return &TCPServer{handler: h, ctxHandler: ch, conns: make(map[net.Conn]bool)}
+	ch, ok := h.(CtxHandler)
+	if !ok {
+		ch = CtxHandlerFunc(func(_ obs.SpanContext, method string, payload []byte) ([]byte, error) {
+			return h.Handle(method, payload)
+		})
+	}
+	return &TCPServer{handler: ch, conns: make(map[net.Conn]bool)}
 }
 
 // Listen starts accepting on addr ("127.0.0.1:0" for tests) and returns
@@ -441,9 +443,9 @@ func (rw *respWriter) close() {
 }
 
 // handleRequest runs the handler for one decoded request and queues
-// its response for the connection's writer, echoing the correlation ID
-// (and trace context) so the multiplexed client can match it however
-// late it completes.
+// its response for the connection's writer, echoing the frame id (and
+// trace context) so the multiplexed client can match it however late
+// it completes.
 func (s *TCPServer) handleRequest(rw *respWriter, req *frame) {
 	// Server span: joins the trace the client stamped into the frame
 	// header (nil span when the request is untraced).
@@ -452,22 +454,16 @@ func (s *TCPServer) handleRequest(rw *respWriter, req *frame) {
 		sp = obs.ContinueSpan(req.method, "server", obs.TraceID(req.trace), obs.SpanID(req.span))
 	}
 	start := time.Now()
-	var payload []byte
-	var herr error
-	if s.ctxHandler != nil {
-		// sp.Context() parents nested work under the server span; it is
-		// the zero context (untraced) when sp is nil.
-		payload, herr = s.ctxHandler.HandleCtx(sp.Context(), req.method, req.payload)
-	} else {
-		payload, herr = s.handler.Handle(req.method, req.payload)
-	}
+	// sp.Context() parents nested work under the server span; it is the
+	// zero context (untraced) when sp is nil.
+	payload, herr := s.handler.HandleCtx(sp.Context(), req.method, req.payload)
 	obs.Observe("transport_server_latency_ns", time.Since(start), "method", req.method)
 	obs.GetCounter("transport_server_rpcs_total", "method", req.method).Inc()
 	if herr != nil {
 		obs.GetCounter("transport_server_errors_total", "method", req.method).Inc()
 	}
 	sp.End(herr)
-	resp := &frame{kind: kindResponse, id: req.id, corr: req.corr, trace: req.trace, span: req.span, payload: payload}
+	resp := &frame{kind: kindResponse, id: req.id, trace: req.trace, span: req.span, payload: payload}
 	if herr != nil {
 		resp.errText = herr.Error()
 		resp.payload = nil
@@ -503,10 +499,11 @@ func (s *TCPServer) Close() error {
 // upgraded from the thesis's one-call-at-a-time Client() routine into a
 // multiplexed, pipelined client: any number of goroutines may Call
 // concurrently over the one connection, each call carrying a
-// correlation ID that a writer goroutine serializes onto the wire and
-// a reader goroutine matches back out of order. The pending-call map
-// is the rendezvous; per-call timers (not connection deadlines) bound
-// each call, so one slow response cannot fail its neighbours.
+// correlation ID (the frame id) that a writer goroutine serializes onto
+// the wire and a reader goroutine matches back out of order. The
+// pending-call map is the rendezvous; per-call timers (not connection
+// deadlines) bound each call, so one slow response cannot fail its
+// neighbours.
 type TCPClient struct {
 	// Timeout, when set, is the per-call deadline: a call that has not
 	// completed within it fails with ErrCallTimeout instead of waiting
@@ -529,8 +526,6 @@ type TCPClient struct {
 	connOnce sync.Once
 	connErr  error
 
-	lastTrace atomic.Uint64
-
 	wg sync.WaitGroup // writer + reader loops
 }
 
@@ -540,7 +535,6 @@ type TCPClient struct {
 type pendingCall struct {
 	req    *frame
 	method string
-	trace  obs.TraceID
 	done   chan struct{}
 	resp   *frame
 	err    error
@@ -598,45 +592,41 @@ func NewTCPClient(conn net.Conn) *TCPClient {
 // The returned payload is caller-owned: its backing buffer is simply
 // left to the GC (never recycled), so holding it forever is safe.
 func (c *TCPClient) Call(method string, payload []byte) ([]byte, error) {
-	out, _, err := c.CallTraced(method, payload)
+	out, _, err := c.CallInTracePooled(obs.SpanContext{}, method, payload)
 	return out, err
 }
 
-// CallTraced is Call returning also the trace ID the call travelled
-// under — the per-call replacement for LastTrace that stays meaningful
-// when many goroutines share the client. Every call opens a fresh
-// trace whose IDs ride the frame header, so the server's span lands in
-// the same trace as the client's.
-func (c *TCPClient) CallTraced(method string, payload []byte) ([]byte, obs.TraceID, error) {
-	out, _, trace, err := c.callSpan(obs.StartSpan(method, "client"), method, payload)
-	return out, trace, err
-}
-
-// CallInTrace implements TraceCaller: the client span continues the
-// trace in sc (parented under sc.Parent) instead of opening a fresh
-// one, so a server handling a request can fan out to another site
-// within the same trace. A zero sc degenerates to CallTraced.
+// CallInTrace implements TraceCaller: CallInTracePooled with the
+// release dropped, so the payload is caller-owned as with Call.
 func (c *TCPClient) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	out, _, _, err := c.callSpan(obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent), method, payload)
+	out, _, err := c.CallInTracePooled(sc, method, payload)
 	return out, err
 }
 
-// CallPooled is Call for the allocation-free decode path: the returned
-// payload is backed by a pooled frame buffer, and release (when
-// non-nil) recycles it. The caller must not touch the payload — or
-// anything aliasing it — after calling release, and must not call
+// CallInTracePooled implements PooledTraceCaller and is the client's
+// one call path. The client span continues the trace in sc (parented
+// under sc.Parent), so a server handling a request can fan out to
+// another site within the same trace; a zero sc opens a fresh trace,
+// and a caller that needs the trace ID up front passes
+// obs.NewTraceContext(), making the client span the trace's root.
+// Either way the IDs ride the frame header, so the server's span lands
+// in the same trace.
+//
+// The returned payload is backed by a pooled frame buffer, and release
+// (when non-nil) recycles it. The caller must not touch the payload —
+// or anything aliasing it — after calling release, and must not call
 // release twice; callers that decode-and-drop (gob into a typed
 // struct) release immediately after decoding. Dropping release instead
 // of calling it is always safe: the buffer just falls to the GC.
-func (c *TCPClient) CallPooled(method string, payload []byte) ([]byte, func(), error) {
-	out, resp, _, err := c.callSpan(obs.StartSpan(method, "client"), method, payload)
-	return out, poolRelease(resp), err
-}
-
-// CallInTracePooled implements PooledTraceCaller: CallPooled
-// continuing the trace in sc, with CallInTrace's zero-sc behaviour.
 func (c *TCPClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
-	out, resp, _, err := c.callSpan(obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent), method, payload)
+	sp := obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent)
+	out, resp, err := c.issue(sp, method, payload)
+	sp.End(err)
+	obs.Observe("transport_client_latency_ns", sp.Dur, "method", method)
+	obs.GetCounter("transport_client_rpcs_total", "method", method).Inc()
+	if err != nil {
+		obs.GetCounter("transport_client_errors_total", "method", method).Inc()
+	}
 	return out, poolRelease(resp), err
 }
 
@@ -647,22 +637,6 @@ func poolRelease(f *frame) func() {
 		return nil
 	}
 	return func() { releaseFrame(f) }
-}
-
-// callSpan issues the call under an already-opened client span and
-// settles the span and the per-method metrics. The returned frame is
-// the pooled response (nil on error or for an empty pre-v3 response);
-// pooled callers adapt it via poolRelease, plain callers drop it.
-func (c *TCPClient) callSpan(sp *obs.Span, method string, payload []byte) ([]byte, *frame, obs.TraceID, error) {
-	c.lastTrace.Store(uint64(sp.Trace))
-	payload, resp, err := c.issue(sp, method, payload)
-	sp.End(err)
-	obs.Observe("transport_client_latency_ns", sp.Dur, "method", method)
-	obs.GetCounter("transport_client_rpcs_total", "method", method).Inc()
-	if err != nil {
-		obs.GetCounter("transport_client_errors_total", "method", method).Inc()
-	}
-	return payload, resp, sp.Trace, err
 }
 
 // Err reports the client's terminal state: nil while the connection is
@@ -686,7 +660,7 @@ func (c *TCPClient) Err() error {
 // On success the pooled response frame rides along for callers that
 // recycle its buffer.
 func (c *TCPClient) issue(sp *obs.Span, method string, payload []byte) ([]byte, *frame, error) {
-	pc := &pendingCall{method: method, trace: sp.Trace, done: make(chan struct{})}
+	pc := &pendingCall{method: method, done: make(chan struct{})}
 	corr, err := c.register(pc, method, payload, sp)
 	if err != nil {
 		return nil, nil, &CallError{Method: method, Err: err}
@@ -742,7 +716,7 @@ func (c *TCPClient) register(pc *pendingCall, method string, payload []byte, sp 
 	c.nextCorr++
 	corr := c.nextCorr
 	pc.req = &frame{
-		kind: kindRequest, id: corr, corr: corr, method: method, payload: payload,
+		kind: kindRequest, id: corr, method: method, payload: payload,
 		trace: uint64(sp.Trace), span: uint64(sp.ID),
 	}
 	c.pending[corr] = pc
@@ -846,11 +820,7 @@ func (c *TCPClient) readLoop() {
 			c.fail(fmt.Errorf("%w: unexpected frame kind %d", ErrBadFrame, kind))
 			return
 		}
-		corr := resp.corr
-		if corr == 0 {
-			corr = resp.id // a pre-v3 peer echoes only the frame id
-		}
-		pc := c.take(corr)
+		pc := c.take(resp.id)
 		if pc == nil {
 			// Nobody is waiting: a call that timed out earlier, or a
 			// confused peer. Correlation IDs make late responses
@@ -897,15 +867,6 @@ func (c *TCPClient) closeConn() error {
 		c.connErr = c.conn.Close() //mits:nolock write is published by connOnce.Do
 	})
 	return c.connErr //mits:nolock connOnce.Do orders the write before this read
-}
-
-// LastTrace reports the trace ID of the most recently issued Call —
-// the handle a navigator prints so an operator can find the same
-// request in the server's span exposition. With concurrent callers
-// this is inherently last-writer-wins; use CallTraced to get the trace
-// ID of a specific call.
-func (c *TCPClient) LastTrace() obs.TraceID {
-	return obs.TraceID(c.lastTrace.Load())
 }
 
 // Close implements Client. It is idempotent and safe to call

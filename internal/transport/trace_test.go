@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"mits/internal/lint/leaktest"
@@ -10,48 +8,9 @@ import (
 	"mits/internal/obs"
 )
 
-// preUpgradeRequestFrame builds the exact byte layout the v1 encoder
-// produced before the trace-ID field existed:
-// kind(1) id(8) nameLen(4) name payLen(4) payload.
-func preUpgradeRequestFrame(id uint64, method string, payload []byte) []byte {
-	buf := []byte{byte(kindRequest)}
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(method)))
-	buf = append(buf, method...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
-}
-
-// TestFrameDecodesPreUpgradeEncoding is the frame-versioning
-// regression test: a frame encoded before the header grew the trace
-// context must still decode, field for field.
-func TestFrameDecodesPreUpgradeEncoding(t *testing.T) {
-	raw := preUpgradeRequestFrame(7, "db.Get_Selected_Doc", []byte("payload"))
-	f, err := unmarshalFrame(raw)
-	if err != nil {
-		t.Fatalf("pre-upgrade frame rejected: %v", err)
-	}
-	if f.kind != kindRequest || f.id != 7 || f.method != "db.Get_Selected_Doc" || string(f.payload) != "payload" {
-		t.Fatalf("pre-upgrade frame mangled: %+v", f)
-	}
-	if f.trace != 0 || f.span != 0 {
-		t.Fatalf("pre-upgrade frame grew a trace context: trace=%d span=%d", f.trace, f.span)
-	}
-}
-
-// TestFrameUntracedEncodingIsV1 pins the compatibility contract from
-// the other side: a frame without a trace context must marshal to the
-// v1 byte layout, so an un-upgraded peer can still parse what we send.
-func TestFrameUntracedEncodingIsV1(t *testing.T) {
-	f := &frame{kind: kindRequest, id: 7, method: "db.Get_Selected_Doc", payload: []byte("payload")}
-	want := preUpgradeRequestFrame(7, "db.Get_Selected_Doc", []byte("payload"))
-	if got := f.marshal(); !bytes.Equal(got, want) {
-		t.Fatalf("untraced frame encoding drifted from v1:\n got %x\nwant %x", got, want)
-	}
-}
-
-// TestFrameV2RoundTrip checks the trace context survives the new
-// encoding in both kinds.
+// TestFrameV2RoundTrip checks the trace context survives the single
+// layout in both kinds. (The layout is the old v2 header under the
+// base kind bytes, hence the name.)
 func TestFrameV2RoundTrip(t *testing.T) {
 	for _, kind := range []frameKind{kindRequest, kindResponse} {
 		f := &frame{kind: kind, id: 9, trace: 0xdeadbeefcafe, span: 42, payload: []byte{1, 2, 3}}
@@ -70,14 +29,25 @@ func TestFrameV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameV2Truncated makes sure a v2 kind with a short body errors
-// instead of reading out of bounds.
+// TestFrameV2Truncated makes sure every truncation of a frame, in both
+// kinds and whether traced or not, errors instead of reading out of
+// bounds — in particular every prefix shorter than the fixed header
+// plus the payload length.
 func TestFrameV2Truncated(t *testing.T) {
-	f := &frame{kind: kindRequest, id: 1, trace: 5, span: 6, method: "m"}
-	raw := f.marshal()
-	for n := 1; n < 1+8+16+4; n++ {
-		if _, err := unmarshalFrame(raw[:n]); err == nil {
-			t.Fatalf("truncated v2 frame of %d bytes decoded", n)
+	for _, f := range []*frame{
+		{kind: kindRequest, id: 1, trace: 5, span: 6, method: "m"},
+		{kind: kindRequest, id: 1, method: "m", payload: []byte("x")},
+		{kind: kindResponse, id: 1, trace: 5, span: 6, errText: "e"},
+		{kind: kindResponse, id: 1},
+	} {
+		raw := f.marshal()
+		if len(raw) < frameHeader+4 {
+			t.Fatalf("frame %+v encodes to %d bytes, below the %d-byte minimum", f, len(raw), frameHeader+4)
+		}
+		for n := 0; n < len(raw); n++ {
+			if _, err := unmarshalFrame(raw[:n]); err == nil {
+				t.Fatalf("frame %+v truncated to %d of %d bytes decoded", f, n, len(raw))
+			}
 		}
 	}
 }
@@ -102,13 +72,11 @@ func TestTraceAcrossTCP(t *testing.T) {
 	}
 	defer cli.Close()
 
-	if _, err := cli.Call("echo", []byte("x")); err != nil {
+	sc := obs.NewTraceContext()
+	if _, err := cli.CallInTrace(sc, "echo", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	trace := cli.LastTrace()
-	if trace == 0 {
-		t.Fatal("client call left no trace ID")
-	}
+	trace := sc.Trace
 
 	spans := obs.Default.SpansOf(trace)
 	var client, server *obs.Span

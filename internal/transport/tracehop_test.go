@@ -11,8 +11,8 @@ import (
 // TestTracePropagatesAcrossHops runs the full three-node delivery
 // shape over real TCP — navigator client → edge (a ForwardHandler
 // whose DBClient dials the store) → store server — and asserts that
-// one CallTraced produces one trace whose spans chain parent-to-child
-// across every hop:
+// one call under a minted trace produces one trace whose spans chain
+// parent-to-child across every hop:
 //
 //	client(navigator) → server(edge) → client(edge) → server(store)
 //	                                                → internal(store.GetContent)
@@ -56,8 +56,9 @@ func TestTracePropagatesAcrossHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, trace, err := nav.CallTraced(MethodGetContent, req)
-	if err != nil {
+	sc := obs.NewTraceContext()
+	trace := sc.Trace
+	if _, err := nav.CallInTrace(sc, MethodGetContent, req); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,8 +114,9 @@ func TestTracePropagatesAcrossHops(t *testing.T) {
 
 	// Second request hits the edge cache: the trace still forms, but
 	// stops at the edge — no store-side spans.
-	_, trace2, err := nav.CallTraced(MethodGetContent, req)
-	if err != nil {
+	sc2 := obs.NewTraceContext()
+	trace2 := sc2.Trace
+	if _, err := nav.CallInTrace(sc2, MethodGetContent, req); err != nil {
 		t.Fatal(err)
 	}
 	spans2 := obs.Default.SpansOf(trace2)

@@ -15,19 +15,31 @@ import (
 	"mits/internal/mediastore"
 )
 
+// TestFrameRoundTrip covers the one frame layout: both kinds, traced
+// and untraced, each encoding to the fixed header plus its variable
+// parts and decoding field for field.
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []*frame{
 		{kind: kindRequest, id: 1, method: "db.Get_List_Doc"},
 		{kind: kindRequest, id: 42, method: "m", payload: []byte("payload")},
+		{kind: kindRequest, id: 43, trace: 0xfeed, span: 7, method: "m", payload: []byte("traced")},
 		{kind: kindResponse, id: 42, payload: []byte{0, 1, 2}},
 		{kind: kindResponse, id: 7, errText: "not found"},
+		{kind: kindResponse, id: 43, trace: 0xfeed, span: 7, payload: []byte("traced")},
+		{kind: kindResponse, id: 44, trace: 0xfeed, span: 8, errText: "traced failure"},
 	}
 	for _, f := range cases {
-		got, err := unmarshalFrame(f.marshal())
+		raw := f.marshal()
+		name := f.method + f.errText
+		if want := frameHeader + len(name) + 4 + len(f.payload); len(raw) != want || f.wireSize() != want {
+			t.Errorf("%+v encodes to %d bytes (wireSize %d), want %d", f, len(raw), f.wireSize(), want)
+		}
+		got, err := unmarshalFrame(raw)
 		if err != nil {
 			t.Fatalf("unmarshal(%+v): %v", f, err)
 		}
-		if got.kind != f.kind || got.id != f.id || got.method != f.method || got.errText != f.errText || !bytes.Equal(got.payload, f.payload) {
+		if got.kind != f.kind || got.id != f.id || got.trace != f.trace || got.span != f.span ||
+			got.method != f.method || got.errText != f.errText || !bytes.Equal(got.payload, f.payload) {
 			t.Errorf("round trip %+v → %+v", f, got)
 		}
 	}
@@ -37,11 +49,17 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	if _, err := unmarshalFrame(nil); err == nil {
 		t.Error("nil frame accepted")
 	}
-	if _, err := unmarshalFrame([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
-		t.Error("bad kind accepted")
-	}
 	f := &frame{kind: kindRequest, id: 1, method: "m", payload: []byte("x")}
 	body := f.marshal()
+	// Unknown kinds are rejected even under an otherwise well-formed
+	// frame — including 3–6, the retired versioned kinds.
+	for _, kind := range []byte{0, 3, 4, 5, 6, 9, 255} {
+		bad := append([]byte(nil), body...)
+		bad[0] = kind
+		if _, err := unmarshalFrame(bad); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("kind %d: got %v, want ErrBadFrame", kind, err)
+		}
+	}
 	if _, err := unmarshalFrame(body[:len(body)-1]); err == nil {
 		t.Error("truncated frame accepted")
 	}
@@ -272,6 +290,30 @@ func TestDBOverATM(t *testing.T) {
 	reqB, rspB := sess.Traffic()
 	if reqB == 0 || rspB < 100000 {
 		t.Errorf("traffic accounting req=%d rsp=%d", reqB, rspB)
+	}
+}
+
+// TestATMFrameVolumePinned pins the ATM message size behind E5: the
+// navigator's course delivery returns a 6,567-byte gob record, which
+// must travel as a 6,600-byte frame (the 29-byte header, an empty
+// name, the 4-byte payload length) in 138 cells.
+func TestATMFrameVolumePinned(t *testing.T) {
+	const record = 6567
+	mux := NewMux()
+	mux.Register(MethodGetDoc, func(string, []byte) ([]byte, error) { return make([]byte, record), nil })
+	n, user, db := atmTestNet(t)
+	sess, err := OpenATMSession(n, user, db, mux, ATMSessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.CallOver(MethodGetDoc, []byte("atm-course")); err != nil {
+		t.Fatal(err)
+	}
+	_, rsp := sess.Traffic()
+	_, s2c := sess.Metrics()
+	if rsp != 6600 || s2c.CellsSent != 138 {
+		t.Fatalf("response frame %d bytes in %d cells, want 6600 bytes in 138 cells", rsp, s2c.CellsSent)
 	}
 }
 
