@@ -20,6 +20,8 @@ lint:
 .PHONY: fuzz
 fuzz:
 	go test -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/transport/
+	go test -fuzz=FuzzContentChunkDecode -fuzztime=10s ./internal/transport/
+	go test -fuzz=FuzzDBCodec -fuzztime=10s ./internal/transport/
 	go test -fuzz=FuzzAAL5Reassemble -fuzztime=10s ./internal/atm/
 	go test -fuzz=FuzzMHEGDecode -fuzztime=10s ./internal/mheg/codec/
 	go test -fuzz=FuzzMarkupParse -fuzztime=10s ./internal/markup/
@@ -93,16 +95,17 @@ flakehunt:
 	go test -count=10 ./internal/transport/
 	go test -count=4 ./...
 
-# Tracked surface figures of the two core packages: non-test lines of
-# Go and exported declarations (funcs, methods and types, as go doc
-# lists them).
+# Tracked surface figures of the two core packages and the payload
+# codec: non-test lines of Go and exported declarations (funcs, methods
+# and types, as go doc lists them), plus the span-export codec file.
 .PHONY: surface
 surface:
-	@for p in internal/transport internal/cluster; do \
+	@for p in internal/transport internal/cluster internal/wire; do \
 		lines=$$(cat $$(ls $$p/*.go | grep -v '_test\.go$$') | wc -l); \
 		decls=$$(go doc -all ./$$p | grep -cE '^func |^    func |^type '); \
 		echo "$$p: $$lines non-test lines, $$decls exported declarations"; \
 	done
+	@echo "internal/obs/collect/wire.go: $$(wc -l < internal/obs/collect/wire.go) lines"
 
 # Observability checks alone: obs + collector + transport tests under
 # the race detector, the two-leg smoke (traced-RPC scrape + three-node

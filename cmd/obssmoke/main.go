@@ -159,11 +159,7 @@ func runTraceLeg() error {
 		return err
 	}
 	defer nav.Close() //mits:allow errdrop smoke teardown
-	req, err := transport.EncodeGetContent("store/v.mpg")
-	if err != nil {
-		exporter.Close() //mits:allow errdrop smoke teardown
-		return err
-	}
+	req := transport.EncodeGetContent("store/v.mpg")
 	sc := obs.NewTraceContext()
 	trace := sc.Trace
 	if _, err := nav.CallInTrace(sc, transport.MethodGetContent, req); err != nil {

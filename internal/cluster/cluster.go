@@ -416,7 +416,7 @@ func (r *Router) scatterNames(sc obs.SpanContext, method string, payload []byte)
 			set[n] = true
 		}
 	}
-	return transport.EncodeNameList(sortedKeys(set))
+	return transport.EncodeNameList(sortedKeys(set)), nil
 }
 
 // scatterTree merges the per-shard keyword-tree snapshots into one
@@ -434,5 +434,5 @@ func (r *Router) scatterTree(sc obs.SpanContext, payload []byte) ([]byte, error)
 		}
 		mergeKeywordNode(merged, tree)
 	}
-	return transport.EncodeKeywordTree(merged)
+	return transport.EncodeKeywordTree(merged), nil
 }

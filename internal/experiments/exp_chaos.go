@@ -291,10 +291,7 @@ func runATMScenario() ([]string, bool, error) {
 	}
 	defer sess.Close()
 
-	req, err := transport.EncodeGetDoc("atm-course")
-	if err != nil {
-		return nil, false, err
-	}
+	req := transport.EncodeGetDoc("atm-course")
 	const calls = 20
 	ok, typed, untyped := 0, 0, 0
 	for i := 0; i < calls; i++ {

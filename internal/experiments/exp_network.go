@@ -55,10 +55,7 @@ func E7ClientServer() (*Report, error) {
 
 		var lat sim.Series
 		served := 0
-		req, err := transport.EncodeGetDoc("atm-course")
-		if err != nil {
-			return nil, err
-		}
+		req := transport.EncodeGetDoc("atm-course")
 		var sessions []*transport.ATMSession
 		for i := 0; i < clients; i++ {
 			host := n.AddHost(fmt.Sprintf("user%d", i))

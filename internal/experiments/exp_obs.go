@@ -131,10 +131,7 @@ func E30TraceCollection() (*Report, error) {
 		return nil, err
 	}
 	defer nav.Close() //mits:allow errdrop experiment teardown
-	req, err := transport.EncodeGetContent("store/v.mpg")
-	if err != nil {
-		return nil, err
-	}
+	req := transport.EncodeGetContent("store/v.mpg")
 	slow, control := obs.NewTraceContext(), obs.NewTraceContext()
 	slowTrace, controlTrace := slow.Trace, control.Trace
 	if _, err := nav.CallInTrace(slow, transport.MethodGetContent, req); err != nil {

@@ -116,10 +116,7 @@ func E5Layers() (*Report, error) {
 		return nil, err
 	}
 	defer sess.Close()
-	req, err := transport.EncodeGetDoc("atm-course")
-	if err != nil {
-		return nil, err
-	}
+	req := transport.EncodeGetDoc("atm-course")
 	resp, err := sess.CallOver(transport.MethodGetDoc, req)
 	if err != nil {
 		return nil, err
@@ -136,7 +133,7 @@ func E5Layers() (*Report, error) {
 		Rows: [][]string{
 			{"application (courseware)", "1 container", bytesStr(appBytes), "1.00×"},
 			{"MHEG object layer", fmt.Sprintf("%d objects coded", len(out.Container.Items)), bytesStr(appBytes), "1.00×"},
-			{"message protocol", "gob record + frame", bytesStr(rspBytes), ratio(rspBytes, appBytes)},
+			{"message protocol", "wire record + frame", bytesStr(rspBytes), ratio(rspBytes, appBytes)},
 			{"AAL5 + chunking", fmt.Sprintf("%d cells payloads", cells), bytesStr(cells * atm.CellPayloadSize), ratio(cells*atm.CellPayloadSize, appBytes)},
 			{"ATM wire (53B cells)", fmt.Sprintf("%d cells", cells), bytesStr(wire), ratio(wire, appBytes)},
 		},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -166,8 +167,7 @@ func (b blockingClient) Close() error                        { return nil }
 
 // TestBatchWireRoundTrip pins the binary batch codec: every field
 // survives, and malformed payloads (truncation anywhere, a bogus
-// version, an absurd span count) error instead of panicking or
-// over-allocating.
+// version) error instead of panicking.
 func TestBatchWireRoundTrip(t *testing.T) {
 	in := Batch{Site: "schoolsrv", Spans: []SpanRecord{
 		{Trace: 1, ID: 2, Parent: 3, Name: "db.GetContent", Kind: "client",
@@ -175,10 +175,7 @@ func TestBatchWireRoundTrip(t *testing.T) {
 		{Trace: ^uint64(0), ID: 1, Parent: 0, Name: "", Kind: "server",
 			Site: "store", Err: obs.DeadlineMissPrefix + "3 of 40", StartNS: 1 << 60, DurNS: 0},
 	}}
-	data, err := encodeBatch(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := appendBatch(nil, in)
 	out, err := decodeBatch(data)
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +199,25 @@ func TestBatchWireRoundTrip(t *testing.T) {
 		if _, err := decodeBatch(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(data))
 		}
+	}
+}
+
+// TestDecodeBatchBoundsSpanCount: a five-byte payload claiming 2^20
+// spans is rejected before the span slice is allocated — the count is
+// bounded by the bytes left at the minimum span size.
+func TestDecodeBatchBoundsSpanCount(t *testing.T) {
+	payload := []byte{wireV1, 0, 0x80, 0x80, 0x40}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := decodeBatch(payload); err == nil {
+			t.Fatal("batch claiming 2^20 spans in 3 bytes decoded")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+		t.Fatalf("rejecting the payload allocated %d bytes per decode, want under 1 MB", per)
 	}
 }
 

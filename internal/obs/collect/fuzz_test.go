@@ -1,19 +1,21 @@
 package collect
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
 
 // FuzzWireDecode hammers the batch wire decoder with hostile payloads:
 // decodeBatch must never panic or over-allocate on corrupt input, and
-// anything it accepts must survive an encode/decode round trip
-// unchanged — the exporter on the far site will only ever see the
-// re-encoded form. Seeds cover the honest shapes (empty batch, mixed
-// spans with shared interned strings, zig-zag-negative timestamps) and
-// the documented rejection paths (empty payload, unknown version,
-// truncated span, absurd span count); the checked-in corpus under
-// testdata/fuzz/FuzzWireDecode replays on every plain `go test` run.
+// anything it accepts must re-encode to the exact input bytes and
+// decode again unchanged — the exporter on the far site will only ever
+// see the re-encoded form. Seeds cover the honest shapes (empty batch,
+// mixed spans with shared interned strings, zig-zag-negative
+// timestamps) and the documented rejection paths (empty payload,
+// unknown version, truncated span, absurd span count); the checked-in
+// corpus under testdata/fuzz/FuzzWireDecode replays on every plain
+// `go test` run.
 func FuzzWireDecode(f *testing.F) {
 	for _, b := range []Batch{
 		{Site: "edge-a"},
@@ -23,29 +25,26 @@ func FuzzWireDecode(f *testing.F) {
 			{Trace: 0xdeadbeef, ID: 3, Parent: 1, Name: "GetDoc", Kind: "server", Site: "core", StartNS: -7, DurNS: 1},
 		}},
 	} {
-		enc, err := encodeBatch(b)
-		if err != nil {
-			f.Fatalf("seed encode: %v", err)
-		}
+		enc := appendBatch(nil, b)
 		f.Add(enc)
 		if len(enc) > 2 {
 			f.Add(enc[:len(enc)-2]) // truncated mid-span
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0x01})                            // unknown version
+	f.Add([]byte{0xff, 0x01})                           // unknown version
 	f.Add([]byte{wireV1, 0, 0xff, 0xff, 0xff, 0xff, 7}) // absurd span count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBatch(data)
 		if err != nil {
 			return
 		}
-		if uint64(len(b.Spans)) > maxWireSpans {
-			t.Fatalf("decode accepted %d spans (max %d)", len(b.Spans), maxWireSpans)
+		if len(b.Spans) > len(data)/minWireSpan {
+			t.Fatalf("decode accepted %d spans from %d bytes", len(b.Spans), len(data))
 		}
-		enc, err := encodeBatch(b)
-		if err != nil {
-			t.Fatalf("re-encode of accepted batch: %v", err)
+		enc := appendBatch(nil, b)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("round trip changed bytes: %x -> %x", data, enc)
 		}
 		b2, err := decodeBatch(enc)
 		if err != nil {

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"mits/internal/mediastore"
 	"mits/internal/obs"
+	"mits/internal/wire"
 )
 
 // failDialer always fails, so every attempt is a dial retry — the
@@ -119,22 +121,26 @@ func TestBreakerStateGauge(t *testing.T) {
 }
 
 // TestRequestKey pins the routing-key extraction the cluster router
-// depends on: keyed methods yield the name/ref, fan-out methods yield
+// depends on: every keyed request, writes included, yields its
+// name/ref from its leading string; fan-out methods yield
 // ErrUnkeyedMethod.
 func TestRequestKey(t *testing.T) {
-	get, err := EncodeGetDoc("course-a")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		method, key string
+		payload     []byte
+	}{
+		{MethodGetDoc, "course-a", EncodeGetDoc("course-a")},
+		{MethodGetContent, "store/x.mpg", EncodeGetContent("store/x.mpg")},
+		{MethodGetContentStream, "store/x.mpg", EncodeGetContentStream("store/x.mpg", 1<<16, 1<<16)},
+		{MethodPutDoc, "course-b", appendDoc(nil, &mediastore.DocRecord{Name: "course-b", Title: "B", Data: []byte("x")})},
+		{MethodPutContent, "store/y.mpg", appendContentRecord(nil, &mediastore.ContentRecord{Ref: "store/y.mpg", Coding: "MPEG", Keywords: []string{"v"}, Data: []byte("yy")})},
+	} {
+		if key, err := RequestKey(tc.method, tc.payload); err != nil || key != tc.key {
+			t.Errorf("%s key = %q, %v; want %q", tc.method, key, err, tc.key)
+		}
 	}
-	if key, err := RequestKey(MethodGetDoc, get); err != nil || key != "course-a" {
-		t.Fatalf("GetDoc key = %q, %v", key, err)
-	}
-	content, err := EncodeGetContent("store/x.mpg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key, err := RequestKey(MethodGetContent, content); err != nil || key != "store/x.mpg" {
-		t.Fatalf("GetContent key = %q, %v", key, err)
+	if _, err := RequestKey(MethodGetDoc, []byte{5, 'a'}); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("truncated key err = %v, want wire.ErrMalformed", err)
 	}
 	if _, err := RequestKey(MethodListDocs, nil); !errors.Is(err, ErrUnkeyedMethod) {
 		t.Fatalf("ListDocs key err = %v, want ErrUnkeyedMethod", err)

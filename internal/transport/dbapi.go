@@ -2,14 +2,15 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"mits/internal/cache"
 	"mits/internal/mediastore"
 	"mits/internal/obs"
+	"mits/internal/wire"
 )
 
 // Method names of the courseware-database service. GetListDoc and
@@ -27,113 +28,159 @@ const (
 	MethodPutContent   = "db.PutContent"
 )
 
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// Payload layouts, all in the internal/wire encoding. Every keyed
+// request starts with its routing key, so RequestKey reads one string
+// whatever the method:
+//
+//	Get_Selected_Doc, GetContent, GetDocByKeyword request: str key
+//	PutDocument request, Get_Selected_Doc response: doc record
+//	  str name | str title | str encoding | strs keywords |
+//	  varint version | bytes data  (the store assigns a put's version)
+//	PutDocument response: varint version
+//	PutContent request, GetContent response: content record, the
+//	  terminal chunk at offset 0 (AppendContentChunk)
+//	Get_List_Doc, GetDocByKeyword response: strs names
+//	GetKeywordTree response: node = str name | strs docs |
+//	  uvarint nchildren | node*
+
+// maxKeywordDepth bounds keyword-tree nesting on decode, so a hostile
+// payload cannot recurse the decoder's stack away; keyword paths in a
+// course library are a handful of levels deep.
+const maxKeywordDepth = 256
+
+func encodeKey(key string) []byte { return wire.AppendString(nil, key) }
+
+func decodeKey(payload []byte) (string, error) {
+	r := wire.NewReader(payload)
+	key := r.Str()
+	return key, r.Done()
 }
 
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+func appendDoc(buf []byte, rec *mediastore.DocRecord) []byte {
+	buf = wire.AppendString(buf, rec.Name)
+	buf = wire.AppendString(buf, rec.Title)
+	buf = wire.AppendString(buf, rec.Encoding)
+	buf = wire.AppendStrings(buf, rec.Keywords)
+	buf = wire.AppendVarint(buf, int64(rec.Version))
+	return wire.AppendBytes(buf, rec.Data)
 }
 
-// Wire structs.
-type getDocReq struct{ Name string }
-type putDocReq struct {
-	Name, Title, Encoding string
-	Keywords              []string
-	Data                  []byte
+// decodeDoc decodes a doc record; Data is a private copy.
+func decodeDoc(payload []byte) (*mediastore.DocRecord, error) {
+	r := wire.NewReader(payload)
+	rec := &mediastore.DocRecord{}
+	rec.Name = r.Str()
+	rec.Title = r.Str()
+	rec.Encoding = r.Str()
+	rec.Keywords = r.Strs()
+	rec.Version = int(r.Varint())
+	rec.Data = bytes.Clone(r.Bytes())
+	return rec, r.Done()
 }
-type putDocResp struct{ Version int }
-type getContentReq struct{ Ref string }
-type putContentReq struct {
-	Ref, Coding string
-	Keywords    []string
-	Data        []byte
+
+func decodeVersion(payload []byte) (int, error) {
+	r := wire.NewReader(payload)
+	v := int(r.Varint())
+	return v, r.Done()
 }
-type keywordReq struct{ Keyword string }
+
+// appendContentRecord encodes rec as the terminal chunk at offset 0.
+func appendContentRecord(buf []byte, rec *mediastore.ContentRecord) []byte {
+	return AppendContentChunk(buf, &ContentChunk{
+		Ref: rec.Ref, Coding: rec.Coding, Total: uint64(len(rec.Data)),
+		Last: true, Keywords: rec.Keywords, Data: rec.Data,
+	})
+}
 
 // RegisterStore exposes a mediastore on a mux as the courseware
 // database service.
 func RegisterStore(m *Mux, store *mediastore.Store) {
-	m.Register(MethodListDocs, func(_ string, _ []byte) ([]byte, error) {
-		return gobEncode(store.ListDocuments())
+	m.Register(MethodListDocs, func(string, []byte) ([]byte, error) {
+		return EncodeNameList(store.ListDocuments()), nil
 	})
 	m.RegisterCtx(MethodGetDoc, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, error) {
-		var req getDocReq
-		if err := gobDecode(payload, &req); err != nil {
+		name, err := decodeKey(payload)
+		if err != nil {
 			return nil, err
 		}
 		// Internal span: separates time in the store itself from the
 		// transport around it when the request is traced.
 		sp := obs.SpanFromContext("store.GetDocument", "internal", sc)
-		rec, err := store.GetDocument(req.Name)
+		rec, err := store.GetDocument(name)
 		sp.End(err)
 		if err != nil {
 			return nil, err
 		}
-		return gobEncode(rec)
+		return appendDoc(nil, rec), nil
 	})
-	m.Register(MethodKeywordTree, func(_ string, _ []byte) ([]byte, error) {
-		return gobEncode(store.Keywords())
+	m.Register(MethodKeywordTree, func(string, []byte) ([]byte, error) {
+		return EncodeKeywordTree(store.Keywords()), nil
 	})
 	m.Register(MethodDocByKeyword, func(_ string, payload []byte) ([]byte, error) {
-		var req keywordReq
-		if err := gobDecode(payload, &req); err != nil {
+		keyword, err := decodeKey(payload)
+		if err != nil {
 			return nil, err
 		}
-		return gobEncode(store.DocsByKeyword(req.Keyword))
+		return EncodeNameList(store.DocsByKeyword(keyword)), nil
 	})
 	m.RegisterCtx(MethodGetContent, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, error) {
-		var req getContentReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
-		}
-		sp := obs.SpanFromContext("store.GetContent", "internal", sc)
-		// Borrow, don't copy: the record is immediately re-serialized,
-		// so GetContent's defensive copy would be pure allocator load.
-		// Borrowed records are immutable and gob only reads them.
-		rec, err := store.GetContentBorrow(req.Ref)
-		sp.End(err)
+		ref, err := decodeKey(payload)
 		if err != nil {
 			return nil, err
 		}
-		return gobEncode(rec)
+		return serveChunk(store, sc, "store.GetContent", ref, 0, math.MaxUint64)
 	})
-	registerContentStream(m, store)
-	m.Register(MethodPutDoc, func(_ string, payload []byte) ([]byte, error) {
-		var req putDocReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
-		}
-		v, err := store.PutDocument(req.Name, req.Title, req.Encoding, req.Data, req.Keywords...)
+	m.RegisterCtx(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, error) {
+		ref, offset, maxBytes, err := DecodeGetContentStream(payload)
 		if err != nil {
 			return nil, err
 		}
-		return gobEncode(putDocResp{Version: v})
+		if maxBytes == 0 {
+			maxBytes = DefaultStreamChunkBytes
+		}
+		if maxBytes > MaxStreamChunkBytes {
+			maxBytes = MaxStreamChunkBytes
+		}
+		return serveChunk(store, sc, "store.GetContentStream", ref, offset, uint64(maxBytes))
+	})
+	m.Register(MethodPutDoc, func(_ string, payload []byte) ([]byte, error) {
+		rec, err := decodeDoc(payload)
+		if err != nil {
+			return nil, err
+		}
+		v, err := store.PutDocument(rec.Name, rec.Title, rec.Encoding, rec.Data, rec.Keywords...)
+		if err != nil {
+			return nil, err
+		}
+		return wire.AppendVarint(nil, int64(v)), nil
 	})
 	m.Register(MethodPutContent, func(_ string, payload []byte) ([]byte, error) {
-		var req putContentReq
-		if err := gobDecode(payload, &req); err != nil {
+		rec, err := DecodeContentRecord(payload)
+		if err != nil {
 			return nil, err
 		}
-		return nil, store.PutContent(req.Ref, req.Coding, req.Data, req.Keywords...)
+		return nil, store.PutContent(rec.Ref, rec.Coding, rec.Data, rec.Keywords...)
 	})
 }
 
 // EncodeGetDoc encodes a Get_Selected_Doc request payload, for issuing
 // the call over asynchronous carriers (ATM sessions).
-func EncodeGetDoc(name string) ([]byte, error) { return gobEncode(getDocReq{Name: name}) }
+func EncodeGetDoc(name string) []byte { return encodeKey(name) }
 
 // EncodeGetContent encodes a GetContent request payload.
-func EncodeGetContent(ref string) ([]byte, error) { return gobEncode(getContentReq{Ref: ref}) }
+func EncodeGetContent(ref string) []byte { return encodeKey(ref) }
 
-// DecodeContentRecord decodes a GetContent response payload.
+// DecodeContentRecord decodes a GetContent response payload into a
+// record that owns its memory.
 func DecodeContentRecord(data []byte) (*mediastore.ContentRecord, error) {
-	var rec mediastore.ContentRecord
-	return &rec, gobDecode(data, &rec)
+	c, err := DecodeContentChunk(data)
+	if err != nil {
+		return nil, err
+	}
+	if c.Index != 0 || c.Offset != 0 || !c.Last {
+		return nil, fmt.Errorf("%w: content record is chunk %d at offset %d", ErrBadChunk, c.Index, c.Offset)
+	}
+	return &mediastore.ContentRecord{Ref: c.Ref, Coding: c.Coding, Keywords: c.Keywords, Data: bytes.Clone(c.Data)}, nil
 }
 
 // Routing-key extractors and scatter-gather codecs. A cluster router
@@ -141,30 +188,20 @@ func DecodeContentRecord(data []byte) (*mediastore.ContentRecord, error) {
 // ways: it needs just enough of each request to route it (the object
 // name or ref the consistent hash keys on) and the ability to merge
 // the per-shard responses of the fan-out methods. Everything below is
-// a thin, exported view of the wire structs for exactly that — the
+// a thin, exported view of the payload layouts for exactly that — the
 // payloads themselves are forwarded verbatim via DBClient.Do.
 
 // RequestKey extracts the routing key of a keyed request payload: the
 // document name for Get_Selected_Doc/PutDocument, the content ref for
-// GetContent/PutContent. Methods that have no single key (list and
-// keyword methods, which fan out) return ErrUnkeyedMethod.
+// GetContent/GetContentStream/PutContent. Methods that have no single
+// key (list and keyword methods, which fan out) return
+// ErrUnkeyedMethod.
 func RequestKey(method string, payload []byte) (string, error) {
 	switch method {
-	case MethodGetDoc:
-		var req getDocReq
-		return req.Name, gobDecode(payload, &req)
-	case MethodGetContent:
-		var req getContentReq
-		return req.Ref, gobDecode(payload, &req)
-	case MethodPutDoc:
-		var req putDocReq
-		return req.Name, gobDecode(payload, &req)
-	case MethodPutContent:
-		var req putContentReq
-		return req.Ref, gobDecode(payload, &req)
-	case MethodGetContentStream:
-		ref, _, _, err := DecodeGetContentStream(payload)
-		return ref, err
+	case MethodGetDoc, MethodGetContent, MethodGetContentStream, MethodPutDoc, MethodPutContent:
+		r := wire.NewReader(payload)
+		key := r.Str()
+		return key, r.Err()
 	}
 	return "", fmt.Errorf("%w: %s", ErrUnkeyedMethod, method)
 }
@@ -175,21 +212,56 @@ var ErrUnkeyedMethod = errors.New("transport: method has no routing key")
 
 // EncodeNameList encodes a []string response payload (ListDocs,
 // DocByKeyword) — the merge side of scatter-gather.
-func EncodeNameList(names []string) ([]byte, error) { return gobEncode(names) }
+func EncodeNameList(names []string) []byte { return wire.AppendStrings(nil, names) }
 
 // DecodeNameList decodes a []string response payload.
 func DecodeNameList(payload []byte) ([]string, error) {
-	var names []string
-	return names, gobDecode(payload, &names)
+	r := wire.NewReader(payload)
+	names := r.Strs()
+	return names, r.Done()
 }
 
 // EncodeKeywordTree encodes a GetKeywordTree response payload.
-func EncodeKeywordTree(t *mediastore.KeywordNode) ([]byte, error) { return gobEncode(t) }
+func EncodeKeywordTree(t *mediastore.KeywordNode) []byte { return appendNode(nil, t) }
+
+func appendNode(buf []byte, n *mediastore.KeywordNode) []byte {
+	buf = wire.AppendString(buf, n.Name)
+	buf = wire.AppendStrings(buf, n.Docs)
+	buf = wire.AppendUvarint(buf, uint64(len(n.Children)))
+	for _, c := range n.Children {
+		buf = appendNode(buf, c)
+	}
+	return buf
+}
 
 // DecodeKeywordTree decodes a GetKeywordTree response payload.
 func DecodeKeywordTree(payload []byte) (*mediastore.KeywordNode, error) {
-	var tree mediastore.KeywordNode
-	return &tree, gobDecode(payload, &tree)
+	r := wire.NewReader(payload)
+	tree, err := readNode(&r, 0)
+	if err != nil {
+		return nil, err
+	}
+	return tree, r.Done()
+}
+
+// readNode decodes one node and its subtree; a node is at least three
+// bytes (empty name, no docs, no children), which bounds each count.
+func readNode(r *wire.Reader, depth int) (*mediastore.KeywordNode, error) {
+	if depth > maxKeywordDepth {
+		return nil, fmt.Errorf("%w: keyword tree deeper than %d", wire.ErrMalformed, maxKeywordDepth)
+	}
+	n := &mediastore.KeywordNode{Name: r.Str(), Docs: r.Strs()}
+	if k := r.Count(3); k > 0 {
+		n.Children = make([]*mediastore.KeywordNode, k)
+		for i := range n.Children {
+			c, err := readNode(r, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			n.Children[i] = c
+		}
+	}
+	return n, nil
 }
 
 // DBClient is the typed client module of §5.3.2, usable over any
@@ -228,86 +300,50 @@ func (d DBClient) WithTrace(sc obs.SpanContext) DBClient {
 	return d
 }
 
-// call issues one RPC through the carrier; the zero Trace context
-// makes it an ordinary Call on every carrier.
-func (d DBClient) call(method string, payload []byte) ([]byte, error) {
-	return CallInTrace(d.C, d.Trace, method, payload)
-}
-
-// callPooled is call through the allocation-free decode path: the
-// response may be backed by a pooled buffer that the returned release
-// (when non-nil) recycles. Used by the typed methods, which gob-decode
-// (copying everything out) and release before returning.
-func (d DBClient) callPooled(method string, payload []byte) ([]byte, func(), error) {
-	return CallInTracePooled(d.C, d.Trace, method, payload)
-}
-
-// decodeReleased gob-decodes a pooled response into v and recycles the
-// response buffer: gob copies every byte it keeps, so nothing aliases
-// the buffer once Decode returns.
-func decodeReleased(payload []byte, rel func(), v any) error {
-	err := gobDecode(payload, v)
+// callDecoded issues a call through the allocation-free decode path
+// and recycles the (possibly pooled) response once decode returns:
+// every decoder it is given copies out what it keeps.
+func callDecoded[T any](d DBClient, method string, req []byte, decode func([]byte) (T, error)) (T, error) {
+	payload, rel, err := CallInTracePooled(d.C, d.Trace, method, req)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	v, err := decode(payload)
 	if rel != nil {
 		rel()
 	}
-	return err
+	return v, err
 }
 
 // Do issues one raw, already-encoded RPC through the client's full
 // stack (trace, breaker, retry — whatever the carrier composes). It is
 // the forwarding hook for proxies that route by inspecting the payload
 // rather than re-marshalling it: the cluster router decodes just the
-// routing key and ships the original bytes to the chosen replica.
+// routing key and ships the original bytes to the chosen replica. The
+// zero Trace context makes it an ordinary Call on every carrier.
 func (d DBClient) Do(method string, payload []byte) ([]byte, error) {
-	return d.call(method, payload)
+	return CallInTrace(d.C, d.Trace, method, payload)
 }
 
 // GetListDoc returns the stored document names.
 func (d DBClient) GetListDoc() ([]string, error) {
-	payload, rel, err := d.callPooled(MethodListDocs, nil)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	return names, decodeReleased(payload, rel, &names)
+	return callDecoded(d, MethodListDocs, nil, DecodeNameList)
 }
 
 // GetSelectedDoc retrieves one document by name.
 func (d DBClient) GetSelectedDoc(name string) (*mediastore.DocRecord, error) {
-	req, err := gobEncode(getDocReq{Name: name})
-	if err != nil {
-		return nil, err
-	}
-	payload, rel, err := d.callPooled(MethodGetDoc, req)
-	if err != nil {
-		return nil, err
-	}
-	var rec mediastore.DocRecord
-	return &rec, decodeReleased(payload, rel, &rec)
+	return callDecoded(d, MethodGetDoc, encodeKey(name), decodeDoc)
 }
 
 // GetKeywordTree retrieves the library's keyword hierarchy.
 func (d DBClient) GetKeywordTree() (*mediastore.KeywordNode, error) {
-	payload, rel, err := d.callPooled(MethodKeywordTree, nil)
-	if err != nil {
-		return nil, err
-	}
-	var tree mediastore.KeywordNode
-	return &tree, decodeReleased(payload, rel, &tree)
+	return callDecoded(d, MethodKeywordTree, nil, DecodeKeywordTree)
 }
 
 // GetDocByKeyword finds documents by keyword path.
 func (d DBClient) GetDocByKeyword(keyword string) ([]string, error) {
-	req, err := gobEncode(keywordReq{Keyword: keyword})
-	if err != nil {
-		return nil, err
-	}
-	payload, rel, err := d.callPooled(MethodDocByKeyword, req)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	return names, decodeReleased(payload, rel, &names)
+	return callDecoded(d, MethodDocByKeyword, encodeKey(keyword), DecodeNameList)
 }
 
 // GetContent fetches a content object's data by reference, consulting
@@ -336,21 +372,12 @@ func (d DBClient) GetContent(ref string) (*mediastore.ContentRecord, error) {
 	return v.(*mediastore.ContentRecord), nil
 }
 
-// fetchContent is the uncached upstream path. The gob decode copies
-// the record out of the (pooled) response before it is recycled, so
-// the returned record owns its memory — which is exactly what the
-// cache's immutable handoff needs.
+// fetchContent is the uncached upstream path: one GetContent RPC. The
+// decode copies the record out of the (pooled) response before it is
+// recycled, so the returned record owns its memory — which is exactly
+// what the cache's immutable handoff needs.
 func (d DBClient) fetchContent(ref string) (*mediastore.ContentRecord, error) {
-	req, err := gobEncode(getContentReq{Ref: ref})
-	if err != nil {
-		return nil, err
-	}
-	payload, rel, err := d.callPooled(MethodGetContent, req)
-	if err != nil {
-		return nil, err
-	}
-	var rec mediastore.ContentRecord
-	return &rec, decodeReleased(payload, rel, &rec)
+	return callDecoded(d, MethodGetContent, encodeKey(ref), DecodeContentRecord)
 }
 
 // CloneContentRecord deep-copies a record — the escape hatch for
@@ -366,25 +393,14 @@ func CloneContentRecord(rec *mediastore.ContentRecord) *mediastore.ContentRecord
 
 // PutDocument publishes a courseware document (author site).
 func (d DBClient) PutDocument(name, title, encoding string, data []byte, keywords ...string) (int, error) {
-	req, err := gobEncode(putDocReq{Name: name, Title: title, Encoding: encoding, Keywords: keywords, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	payload, err := d.call(MethodPutDoc, req)
-	if err != nil {
-		return 0, err
-	}
-	var resp putDocResp
-	return resp.Version, gobDecode(payload, &resp)
+	req := appendDoc(nil, &mediastore.DocRecord{Name: name, Title: title, Encoding: encoding, Keywords: keywords, Data: data})
+	return callDecoded(d, MethodPutDoc, req, decodeVersion)
 }
 
 // PutContent uploads media data (production center).
 func (d DBClient) PutContent(ref, coding string, data []byte, keywords ...string) error {
-	req, err := gobEncode(putContentReq{Ref: ref, Coding: coding, Keywords: keywords, Data: data})
-	if err != nil {
-		return err
-	}
-	_, err = d.call(MethodPutContent, req)
+	rec := &mediastore.ContentRecord{Ref: ref, Coding: coding, Keywords: keywords, Data: data}
+	_, err := d.Do(MethodPutContent, appendContentRecord(nil, rec))
 	return err
 }
 
@@ -432,19 +448,19 @@ func (f ForwardHandler) Handle(method string, payload []byte) ([]byte, error) {
 func (f ForwardHandler) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
 	d := f.DB.WithTrace(sc)
 	if method == MethodGetContent && d.ContentCache != nil {
-		var req getContentReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
-		}
-		rec, err := d.GetContent(req.Ref)
+		ref, err := decodeKey(payload)
 		if err != nil {
 			return nil, err
 		}
-		return gobEncode(rec)
+		rec, err := d.GetContent(ref)
+		if err != nil {
+			return nil, err
+		}
+		return appendContentRecord(nil, rec), nil
 	}
 	// The server recycles the request buffer when this handler returns,
 	// but a timed-out upstream call can leave its frame queued behind
 	// the upstream writer still referencing payload — forward a private
 	// copy.
-	return d.call(method, append([]byte(nil), payload...))
+	return d.Do(method, append([]byte(nil), payload...))
 }

@@ -2,7 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
+
+	"mits/internal/mediastore"
+	"mits/internal/wire"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the frame decoder. The
@@ -25,11 +30,11 @@ func FuzzFrameDecode(f *testing.F) {
 		// including the shapes the stream checks exist for — one
 		// truncated mid-chunk, one with an out-of-order index, one
 		// zero-length terminal chunk.
-		{kind: kindRequest, id: 14, method: MethodGetContentStream, payload: mustStreamReq("store/v.mpg", 0, 262144)},
-		{kind: kindResponse, id: 14, payload: mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 8, Data: []byte("01234567"), Last: true, Keywords: []string{"video"}})},
-		{kind: kindResponse, id: 15, payload: mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Offset: 262144, Index: 1, Data: []byte("partial")})[:20]},
-		{kind: kindResponse, id: 16, payload: mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Offset: 262144, Index: 7, Data: []byte("ooo")})},
-		{kind: kindResponse, id: 17, payload: mustChunk(&ContentChunk{Ref: "store/empty", Coding: "MPEG", Total: 0, Last: true})},
+		{kind: kindRequest, id: 14, method: MethodGetContentStream, payload: EncodeGetContentStream("store/v.mpg", 0, 262144)},
+		{kind: kindResponse, id: 14, payload: AppendContentChunk(nil, &ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 8, Data: []byte("01234567"), Last: true, Keywords: []string{"video"}})},
+		{kind: kindResponse, id: 15, payload: AppendContentChunk(nil, &ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Offset: 262144, Index: 1, Data: []byte("partial")})[:20]},
+		{kind: kindResponse, id: 16, payload: AppendContentChunk(nil, &ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Offset: 262144, Index: 7, Data: []byte("ooo")})},
+		{kind: kindResponse, id: 17, payload: AppendContentChunk(nil, &ContentChunk{Ref: "store/empty", Coding: "MPEG", Total: 0, Last: true})},
 	} {
 		f.Add(fr.marshal())
 	}
@@ -55,36 +60,18 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// mustStreamReq / mustChunk build fuzz seeds; the inputs are static and
-// known-good, so an encode failure is a seed bug worth a panic.
-func mustStreamReq(ref string, offset uint64, maxBytes uint32) []byte {
-	b, err := EncodeGetContentStream(ref, offset, maxBytes)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-func mustChunk(c *ContentChunk) []byte {
-	b, err := AppendContentChunk(nil, c)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // FuzzContentChunkDecode throws arbitrary bytes at the chunk and
-// stream-request decoders. Anything that decodes must re-encode and
-// re-decode to the same chunk — and never alias beyond the payload.
+// stream-request decoders. Anything that decodes must re-encode to the
+// exact input bytes: the wire Reader accepts one encoding per value.
 func FuzzContentChunkDecode(f *testing.F) {
-	f.Add(mustStreamReq("store/v.mpg", 1<<20, 262144))
-	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 8, Data: []byte("01234567"), Last: true, Keywords: []string{"video", "atm/demo"}}))
-	f.Add(mustChunk(&ContentChunk{Ref: "r", Total: 0, Last: true}))
-	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Offset: 262144, Index: 1, Data: []byte("mid")})[:12])
+	f.Add(EncodeGetContentStream("store/v.mpg", 1<<20, 262144))
+	f.Add(AppendContentChunk(nil, &ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 8, Data: []byte("01234567"), Last: true, Keywords: []string{"video", "atm/demo"}}))
+	f.Add(AppendContentChunk(nil, &ContentChunk{Ref: "r", Total: 0, Last: true}))
+	f.Add(AppendContentChunk(nil, &ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Offset: 262144, Index: 1, Data: []byte("mid")})[:12])
+	f.Add(overflowChunk())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ref, off, maxBytes, err := DecodeGetContentStream(data); err == nil {
-			re := mustStreamReq(ref, off, maxBytes)
-			if !bytes.Equal(re, data) {
+			if re := EncodeGetContentStream(ref, off, maxBytes); !bytes.Equal(re, data) {
 				t.Fatalf("stream request round trip changed: %x -> %x", data, re)
 			}
 		}
@@ -92,18 +79,82 @@ func FuzzContentChunkDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := AppendContentChunk(nil, c)
-		if err != nil {
-			t.Fatalf("decoded chunk failed to re-encode: %v", err)
-		}
-		c2, err := DecodeContentChunk(re)
-		if err != nil {
-			t.Fatalf("re-encoded chunk failed to decode: %v", err)
-		}
-		if c2.Ref != c.Ref || c2.Coding != c.Coding || c2.Index != c.Index ||
-			c2.Offset != c.Offset || c2.Total != c.Total || c2.Last != c.Last ||
-			!bytes.Equal(c2.Data, c.Data) {
-			t.Fatalf("chunk round trip changed:\n%+v\n%+v", c, c2)
+		if re := AppendContentChunk(nil, c); !bytes.Equal(re, data) {
+			t.Fatalf("chunk round trip changed: %x -> %x", data, re)
 		}
 	})
+}
+
+// overflowChunk is a chunk whose end, Offset+len(Data), wraps past
+// 2^64 to land inside a zero Total.
+func overflowChunk() []byte {
+	return AppendContentChunk(nil, &ContentChunk{Ref: "r", Offset: math.MaxUint64, Total: 0, Last: true, Data: []byte{1}})
+}
+
+// FuzzDBCodec throws arbitrary bytes at every courseware-database
+// payload decoder: doc record, content record, name list, keyword
+// tree, stream request and PutDocument version. None may panic or
+// over-allocate, and anything one accepts must re-encode to the exact
+// input bytes.
+func FuzzDBCodec(f *testing.F) {
+	f.Add(appendDoc(nil, &mediastore.DocRecord{Name: "atm-course", Title: "ATM", Encoding: "asn1", Keywords: []string{"network/atm"}, Version: 3, Data: []byte("mheg")}))
+	f.Add(appendContentRecord(nil, &mediastore.ContentRecord{Ref: "store/v.mpg", Coding: "MPEG", Keywords: []string{"video"}, Data: []byte("0123")}))
+	f.Add(EncodeNameList([]string{"a", "course-b"}))
+	f.Add(EncodeKeywordTree(&mediastore.KeywordNode{Docs: []string{"d"}, Children: []*mediastore.KeywordNode{{Name: "network", Children: []*mediastore.KeywordNode{{Name: "atm", Docs: []string{"atm-course"}}}}}}))
+	f.Add(EncodeGetContentStream("store/v.mpg", 0, DefaultStreamChunkBytes))
+	f.Add(wire.AppendVarint(nil, 7))
+	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x00}) // overlong uvarint
+	f.Fuzz(func(t *testing.T, data []byte) {
+		same := func(what string, re []byte) {
+			t.Helper()
+			if !bytes.Equal(re, data) {
+				t.Fatalf("%s round trip changed: %x -> %x", what, data, re)
+			}
+		}
+		if rec, err := decodeDoc(data); err == nil {
+			same("doc record", appendDoc(nil, rec))
+		}
+		if rec, err := DecodeContentRecord(data); err == nil {
+			same("content record", appendContentRecord(nil, rec))
+		}
+		if names, err := DecodeNameList(data); err == nil {
+			same("name list", EncodeNameList(names))
+		}
+		if tree, err := DecodeKeywordTree(data); err == nil {
+			same("keyword tree", EncodeKeywordTree(tree))
+		}
+		if ref, off, maxBytes, err := DecodeGetContentStream(data); err == nil {
+			same("stream request", EncodeGetContentStream(ref, off, maxBytes))
+		}
+		if v, err := decodeVersion(data); err == nil {
+			same("version", wire.AppendVarint(nil, int64(v)))
+		}
+	})
+}
+
+// TestKeywordTreeDepthBound: a chain of maxKeywordDepth+1 nodes (root
+// at depth 0) decodes; a hand-built chain a million levels deep is
+// rejected at the bound instead of recursing the decoder's stack away.
+func TestKeywordTreeDepthBound(t *testing.T) {
+	chain := func(levels int) *mediastore.KeywordNode {
+		root := &mediastore.KeywordNode{}
+		for n := root; levels > 1; levels-- {
+			c := &mediastore.KeywordNode{Name: "k"}
+			n.Children = []*mediastore.KeywordNode{c}
+			n = c
+		}
+		return root
+	}
+	if _, err := DecodeKeywordTree(EncodeKeywordTree(chain(maxKeywordDepth + 1))); err != nil {
+		t.Fatalf("tree at the depth bound rejected: %v", err)
+	}
+	if _, err := DecodeKeywordTree(EncodeKeywordTree(chain(maxKeywordDepth + 2))); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("tree one past the depth bound: err = %v, want wire.ErrMalformed", err)
+	}
+	// Each level is an empty name, no docs and one child: 0, 0, 1.
+	deep := bytes.Repeat([]byte{0, 0, 1}, 1<<20)
+	if _, err := DecodeKeywordTree(deep); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("million-level tree: err = %v, want wire.ErrMalformed", err)
+	}
 }

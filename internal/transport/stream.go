@@ -7,6 +7,7 @@ import (
 
 	"mits/internal/mediastore"
 	"mits/internal/obs"
+	"mits/internal/wire"
 )
 
 // Chunked streaming GetContent — the "Media Objects in Time" shape:
@@ -19,7 +20,7 @@ import (
 // keyed read, and the breaker/retry stack sees idempotent single-chunk
 // calls it already knows how to handle.
 //
-// The codec is hand-rolled binary, not gob: profiling the saturated
+// The codec is internal/wire, not gob: profiling the saturated
 // transport showed gob's per-call decoder compilation — not syscalls —
 // burning half the CPU on the content hot path (E32), and a fixed
 // layout decodes with zero reflection and zero allocation beyond the
@@ -49,52 +50,24 @@ const MaxStreamChunkBytes = 1 << 20
 // out-of-order index, total drifting mid-stream).
 var ErrBadChunk = errors.New("transport: malformed content chunk")
 
-// streamReqVersion / chunkVersion pin the binary layouts; a decoder
-// seeing any other value rejects rather than misparsing.
-const (
-	streamReqVersion = 1
-	chunkVersion     = 1
-)
-
-// chunk flag bits.
-const (
-	chunkFlagLast     = 1 << 0 // terminal chunk: offset+len(data) == total
-	chunkFlagKeywords = 1 << 1 // keyword list present (terminal chunks)
-)
-
 // EncodeGetContentStream encodes one chunk request:
 //
-//	u8 version | u16 len(ref) ref | u64 offset | u32 maxBytes
-func EncodeGetContentStream(ref string, offset uint64, maxBytes uint32) ([]byte, error) {
-	if len(ref) > 0xFFFF {
-		return nil, fmt.Errorf("%w: ref of %d bytes", ErrBadChunk, len(ref))
-	}
-	buf := make([]byte, 0, 1+2+len(ref)+8+4)
-	buf = append(buf, streamReqVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ref)))
-	buf = append(buf, ref...)
-	buf = binary.BigEndian.AppendUint64(buf, offset)
-	buf = binary.BigEndian.AppendUint32(buf, maxBytes)
-	return buf, nil
+//	str ref | u64 offset | u32 maxBytes
+func EncodeGetContentStream(ref string, offset uint64, maxBytes uint32) []byte {
+	buf := make([]byte, 0, binary.MaxVarintLen64+len(ref)+8+4)
+	buf = wire.AppendString(buf, ref)
+	buf = wire.AppendU64(buf, offset)
+	return wire.AppendU32(buf, maxBytes)
 }
 
 // DecodeGetContentStream decodes a chunk request. The ref is a fresh
 // string; nothing aliases the payload.
 func DecodeGetContentStream(payload []byte) (ref string, offset uint64, maxBytes uint32, err error) {
-	if len(payload) < 1+2 {
-		return "", 0, 0, fmt.Errorf("%w: bad stream request", ErrBadChunk)
+	r := wire.NewReader(payload)
+	ref, offset, maxBytes = r.Str(), r.U64(), r.U32()
+	if err := r.Done(); err != nil {
+		return "", 0, 0, fmt.Errorf("%w: stream request: %w", ErrBadChunk, err)
 	}
-	if payload[0] != streamReqVersion {
-		return "", 0, 0, fmt.Errorf("%w: bad stream request", ErrBadChunk)
-	}
-	n := int(binary.BigEndian.Uint16(payload[1:]))
-	rest := payload[3:]
-	if len(rest) != n+8+4 {
-		return "", 0, 0, fmt.Errorf("%w: bad stream request length", ErrBadChunk)
-	}
-	ref = string(rest[:n])
-	offset = binary.BigEndian.Uint64(rest[n:])
-	maxBytes = binary.BigEndian.Uint32(rest[n+8:])
 	return ref, offset, maxBytes, nil
 }
 
@@ -115,176 +88,100 @@ type ContentChunk struct {
 
 // AppendContentChunk encodes a chunk onto buf:
 //
-//	u8 version | u8 flags | u32 index | u64 offset | u64 total |
-//	u16 len(ref) ref | u16 len(coding) coding |
-//	[u16 nkeywords, (u16 len, bytes)* when flagged] |
-//	u32 len(data) data
-func AppendContentChunk(buf []byte, c *ContentChunk) ([]byte, error) {
-	if len(c.Ref) > 0xFFFF || len(c.Coding) > 0xFFFF || len(c.Keywords) > 0xFFFF {
-		return nil, fmt.Errorf("%w: oversized chunk fields", ErrBadChunk)
-	}
-	flags := byte(0)
+//	str ref | str coding | u8 last (0 or 1) | u32 index | u64 offset |
+//	u64 total | strs keywords | bytes data
+//
+// The ref leads, so RequestKey routes a PutContent request (a content
+// record, i.e. a terminal chunk) by reading one string.
+func AppendContentChunk(buf []byte, c *ContentChunk) []byte {
+	buf = wire.AppendString(buf, c.Ref)
+	buf = wire.AppendString(buf, c.Coding)
+	last := byte(0)
 	if c.Last {
-		flags |= chunkFlagLast
+		last = 1
 	}
-	if len(c.Keywords) > 0 {
-		flags |= chunkFlagKeywords
-	}
-	buf = append(buf, chunkVersion, flags)
-	buf = binary.BigEndian.AppendUint32(buf, c.Index)
-	buf = binary.BigEndian.AppendUint64(buf, c.Offset)
-	buf = binary.BigEndian.AppendUint64(buf, c.Total)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Ref)))
-	buf = append(buf, c.Ref...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Coding)))
-	buf = append(buf, c.Coding...)
-	if flags&chunkFlagKeywords != 0 {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Keywords)))
-		for _, kw := range c.Keywords {
-			if len(kw) > 0xFFFF {
-				return nil, fmt.Errorf("%w: oversized keyword", ErrBadChunk)
-			}
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(kw)))
-			buf = append(buf, kw...)
-		}
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Data)))
-	buf = append(buf, c.Data...)
-	return buf, nil
+	buf = append(buf, last)
+	buf = wire.AppendU32(buf, c.Index)
+	buf = wire.AppendU64(buf, c.Offset)
+	buf = wire.AppendU64(buf, c.Total)
+	buf = wire.AppendStrings(buf, c.Keywords)
+	return wire.AppendBytes(buf, c.Data)
 }
 
-// DecodeContentChunk decodes a chunk payload. Every length is bounds-
-// checked against the remaining bytes (the fuzz corpus covers the
-// truncation grid); Data aliases payload — see ContentChunk.Data.
+// chunkSize bounds a chunk's encoding, so the encode buffer is
+// allocated exactly once.
+func chunkSize(c *ContentChunk) int {
+	n := 4*binary.MaxVarintLen64 + len(c.Ref) + len(c.Coding) + 1 + 4 + 8 + 8 + len(c.Data)
+	for _, kw := range c.Keywords {
+		n += binary.MaxVarintLen64 + len(kw)
+	}
+	return n
+}
+
+// DecodeContentChunk decodes a chunk payload and checks that it lies
+// within its object; Data aliases payload — see ContentChunk.Data.
 func DecodeContentChunk(payload []byte) (*ContentChunk, error) {
-	const fixed = 2 + 4 + 8 + 8
-	if len(payload) < fixed {
-		return nil, fmt.Errorf("%w: bad chunk header", ErrBadChunk)
+	r := wire.NewReader(payload)
+	c := &ContentChunk{}
+	c.Ref = r.Str()
+	c.Coding = r.Str()
+	last := r.U8()
+	c.Index = r.U32()
+	c.Offset = r.U64()
+	c.Total = r.U64()
+	c.Keywords = r.Strs()
+	c.Data = r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadChunk, err)
 	}
-	if payload[0] != chunkVersion {
-		return nil, fmt.Errorf("%w: bad chunk header", ErrBadChunk)
+	if last > 1 {
+		return nil, fmt.Errorf("%w: last flag %d", ErrBadChunk, last)
 	}
-	flags := payload[1]
-	c := &ContentChunk{
-		Index:  binary.BigEndian.Uint32(payload[2:]),
-		Offset: binary.BigEndian.Uint64(payload[6:]),
-		Total:  binary.BigEndian.Uint64(payload[14:]),
-		Last:   flags&chunkFlagLast != 0,
+	c.Last = last == 1
+	n := uint64(len(c.Data))
+	if c.Offset > c.Total || n > c.Total-c.Offset {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d overrun total %d", ErrBadChunk, n, c.Offset, c.Total)
 	}
-	rest := payload[fixed:]
-	takeString := func() (string, bool) {
-		if len(rest) < 2 {
-			return "", false
-		}
-		n := int(binary.BigEndian.Uint16(rest))
-		rest = rest[2:]
-		if len(rest) < n {
-			return "", false
-		}
-		s := string(rest[:n])
-		rest = rest[n:]
-		return s, true
-	}
-	var ok bool
-	if c.Ref, ok = takeString(); !ok {
-		return nil, fmt.Errorf("%w: truncated ref", ErrBadChunk)
-	}
-	if c.Coding, ok = takeString(); !ok {
-		return nil, fmt.Errorf("%w: truncated coding", ErrBadChunk)
-	}
-	if flags&chunkFlagKeywords != 0 {
-		if len(rest) < 2 {
-			return nil, fmt.Errorf("%w: truncated keyword count", ErrBadChunk)
-		}
-		n := int(binary.BigEndian.Uint16(rest))
-		rest = rest[2:]
-		c.Keywords = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			kw, ok := takeString()
-			if !ok {
-				return nil, fmt.Errorf("%w: truncated keyword", ErrBadChunk)
-			}
-			c.Keywords = append(c.Keywords, kw)
-		}
-	}
-	if len(rest) < 4 {
-		return nil, fmt.Errorf("%w: truncated data length", ErrBadChunk)
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if n != len(rest) {
-		return nil, fmt.Errorf("%w: data length %d with %d bytes left", ErrBadChunk, n, len(rest))
-	}
-	if n > 0 {
-		c.Data = rest
-	}
-	if c.Offset+uint64(n) > c.Total {
-		return nil, fmt.Errorf("%w: chunk ends at %d beyond total %d", ErrBadChunk, c.Offset+uint64(n), c.Total)
-	}
-	if c.Last != (c.Offset+uint64(n) == c.Total) {
+	if c.Last != (n == c.Total-c.Offset) {
 		return nil, fmt.Errorf("%w: last flag inconsistent with offsets", ErrBadChunk)
 	}
 	return c, nil
 }
 
-// registerContentStream mounts the chunk server on the mux, serving
-// straight off the store's borrowed (zero-copy) records: the only copy
-// between the store's bytes and the wire batch is the chunk encode.
-func registerContentStream(m *Mux, store *mediastore.Store) {
-	m.RegisterCtx(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, error) {
-		ref, offset, maxBytes, err := DecodeGetContentStream(payload)
-		if err != nil {
-			return nil, err
-		}
-		if maxBytes == 0 {
-			maxBytes = DefaultStreamChunkBytes
-		}
-		if maxBytes > MaxStreamChunkBytes {
-			maxBytes = MaxStreamChunkBytes
-		}
-		sp := obs.SpanFromContext("store.GetContentStream", "internal", sc)
-		rec, err := store.GetContentBorrow(ref)
-		sp.End(err)
-		if err != nil {
-			return nil, err
-		}
-		data := rec.Data
-		total := uint64(len(data))
-		if offset > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: offset %d beyond content %q of %d bytes", ErrBadChunk, offset, ref, total)
-		}
-		end := offset + uint64(maxBytes)
-		if end > uint64(len(data)) {
-			end = total
-		}
-		chunk := ContentChunk{
-			Ref:    rec.Ref,
-			Coding: rec.Coding,
-			Index:  uint32(offset / uint64(maxBytes)),
-			Offset: offset,
-			Total:  total,
-			Last:   end == total,
-			Data:   data[offset:end],
-		}
-		if chunk.Last {
-			chunk.Keywords = rec.Keywords
-		}
-		out := make([]byte, 0, chunkWireOverhead(&chunk)+len(chunk.Data))
-		return AppendContentChunk(out, &chunk)
-	})
-}
-
-// chunkWireOverhead sizes a chunk's encoding minus its data, so the
-// encode buffer is allocated exactly once.
-func chunkWireOverhead(c *ContentChunk) int {
-	n := 2 + 4 + 8 + 8 + 2 + len(c.Ref) + 2 + len(c.Coding) + 4
-	if len(c.Keywords) > 0 {
-		n += 2
-		for _, kw := range c.Keywords {
-			n += 2 + len(kw)
-		}
+// serveChunk answers GetContent and GetContentStream alike: the chunk
+// of ref's content at offset, at most maxBytes long, encoded straight
+// off the store's borrowed (zero-copy) record — the only copy between
+// the store's bytes and the wire batch is the chunk encode. GetContent
+// asks for everything from offset 0, which is a content record.
+func serveChunk(store *mediastore.Store, sc obs.SpanContext, span, ref string, offset, maxBytes uint64) ([]byte, error) {
+	sp := obs.SpanFromContext(span, "internal", sc)
+	rec, err := store.GetContentBorrow(ref)
+	sp.End(err)
+	if err != nil {
+		return nil, err
 	}
-	return n
+	data := rec.Data
+	total := uint64(len(data))
+	if offset > uint64(len(data)) {
+		return nil, fmt.Errorf("%w: offset %d beyond content %q of %d bytes", ErrBadChunk, offset, ref, total)
+	}
+	end := total
+	if maxBytes < total-offset {
+		end = offset + maxBytes
+	}
+	chunk := ContentChunk{
+		Ref:    rec.Ref,
+		Coding: rec.Coding,
+		Index:  uint32(offset / maxBytes),
+		Offset: offset,
+		Total:  total,
+		Last:   end == total,
+		Data:   data[offset:end],
+	}
+	if chunk.Last {
+		chunk.Keywords = rec.Keywords
+	}
+	return AppendContentChunk(make([]byte, 0, chunkSize(&chunk)), &chunk), nil
 }
 
 // GetContentStream fetches a content object as a sequence of bounded
@@ -349,11 +246,7 @@ func (d DBClient) streamContent(ref string, sink func([]byte) error, retain bool
 	var idx uint32
 	var total uint64
 	for {
-		req, err := EncodeGetContentStream(ref, off, DefaultStreamChunkBytes)
-		if err != nil {
-			return nil, err
-		}
-		payload, rel, err := d.callPooled(MethodGetContentStream, req)
+		payload, rel, err := CallInTracePooled(d.C, d.Trace, MethodGetContentStream, EncodeGetContentStream(ref, off, DefaultStreamChunkBytes))
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ func streamStore(t *testing.T, size int) *mediastore.Store {
 	return s
 }
 
-// TestContentChunkCodecRoundTrip pins the hand-rolled binary layout:
+// TestContentChunkCodecRoundTrip pins the chunk layout:
 // every field survives encode/decode, with and without keywords.
 func TestContentChunkCodecRoundTrip(t *testing.T) {
 	for _, c := range []*ContentChunk{
@@ -33,11 +33,7 @@ func TestContentChunkCodecRoundTrip(t *testing.T) {
 		{Ref: "store/v.mpg", Coding: "MPEG", Index: 2, Offset: 512, Total: 1024, Data: bytes.Repeat([]byte("x"), 256)},
 		{Ref: "r", Coding: "", Index: 0, Offset: 0, Total: 0, Last: true}, // zero-length terminal chunk
 	} {
-		buf, err := AppendContentChunk(nil, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeContentChunk(buf)
+		got, err := DecodeContentChunk(AppendContentChunk(nil, c))
 		if err != nil {
 			t.Fatalf("decode %q: %v", c.Ref, err)
 		}
@@ -52,13 +48,10 @@ func TestContentChunkCodecRoundTrip(t *testing.T) {
 // TestContentChunkDecodeRejectsMalformed walks the truncation grid and
 // the invariant violations a hostile or corrupted peer could send.
 func TestContentChunkDecodeRejectsMalformed(t *testing.T) {
-	good, err := AppendContentChunk(nil, &ContentChunk{
+	good := AppendContentChunk(nil, &ContentChunk{
 		Ref: "store/v.mpg", Coding: "MPEG", Offset: 0, Total: 5,
 		Data: []byte("01234"), Last: true, Keywords: []string{"k"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := DecodeContentChunk(good); err != nil {
 		t.Fatalf("control chunk rejected: %v", err)
 	}
@@ -67,13 +60,21 @@ func TestContentChunkDecodeRejectsMalformed(t *testing.T) {
 			t.Fatalf("truncated chunk of %d/%d bytes decoded", n, len(good))
 		}
 	}
+	// Trailing bytes after the data.
+	if _, err := DecodeContentChunk(append(good[:len(good):len(good)], 0)); err == nil {
+		t.Fatal("chunk with trailing bytes decoded")
+	}
 	// Data running past Total.
-	bad, _ := AppendContentChunk(nil, &ContentChunk{Ref: "r", Total: 10, Offset: 8, Data: []byte("abc"), Last: false})
+	bad := AppendContentChunk(nil, &ContentChunk{Ref: "r", Total: 10, Offset: 8, Data: []byte("abc"), Last: false})
 	if _, err := DecodeContentChunk(bad); err == nil {
 		t.Fatal("chunk overrunning its total decoded")
 	}
+	// Offset+len(Data) wrapping past 2^64 into Total.
+	if _, err := DecodeContentChunk(overflowChunk()); err == nil {
+		t.Fatal("chunk whose end overflows decoded")
+	}
 	// Last flag inconsistent with offsets.
-	bad2, _ := AppendContentChunk(nil, &ContentChunk{Ref: "r", Total: 10, Offset: 0, Data: []byte("abc"), Last: true})
+	bad2 := AppendContentChunk(nil, &ContentChunk{Ref: "r", Total: 10, Offset: 0, Data: []byte("abc"), Last: true})
 	if _, err := DecodeContentChunk(bad2); err == nil {
 		t.Fatal("mis-flagged terminal chunk decoded")
 	}
@@ -197,7 +198,7 @@ func TestGetContentStreamChecksInvariants(t *testing.T) {
 		if ck.Index == 1 { // corrupt the middle chunk's offset
 			ck.Offset += 7
 			ck.Index = 2
-			return AppendContentChunk(nil, ck)
+			return AppendContentChunk(nil, ck), nil
 		}
 		return out, nil
 	})

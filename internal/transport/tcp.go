@@ -615,8 +615,8 @@ func (c *TCPClient) CallInTrace(sc obs.SpanContext, method string, payload []byt
 // The returned payload is backed by a pooled frame buffer, and release
 // (when non-nil) recycles it. The caller must not touch the payload —
 // or anything aliasing it — after calling release, and must not call
-// release twice; callers that decode-and-drop (gob into a typed
-// struct) release immediately after decoding. Dropping release instead
+// release twice; callers that decode-and-drop (copying into a typed
+// record) release immediately after decoding. Dropping release instead
 // of calling it is always safe: the buffer just falls to the GC.
 func (c *TCPClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	sp := obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent)

@@ -52,10 +52,7 @@ func TestTracePropagatesAcrossHops(t *testing.T) {
 	}
 	defer nav.Close()
 
-	req, err := EncodeGetContent("store/v.mpg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := EncodeGetContent("store/v.mpg")
 	sc := obs.NewTraceContext()
 	trace := sc.Trace
 	if _, err := nav.CallInTrace(sc, MethodGetContent, req); err != nil {

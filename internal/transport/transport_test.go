@@ -263,25 +263,21 @@ func TestDBOverATM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	if err := gobDecode(payload, &names); err != nil || len(names) != 1 {
+	if names, err := DecodeNameList(payload); err != nil || len(names) != 1 {
 		t.Fatalf("names=%v err=%v", names, err)
 	}
 
 	// Large content fetch: 100 kB crosses the chunking path.
-	req, _ := gobEncode(getContentReq{Ref: "store/v.mpg"})
-	payload, err = sess.CallOver(MethodGetContent, req)
+	payload, err = sess.CallOver(MethodGetContent, EncodeGetContent("store/v.mpg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec mediastore.ContentRecord
-	if err := gobDecode(payload, &rec); err != nil || len(rec.Data) != 100000 {
-		t.Fatalf("content len=%d err=%v", len(rec.Data), err)
+	if rec, err := DecodeContentRecord(payload); err != nil || len(rec.Data) != 100000 {
+		t.Fatalf("content record=%v err=%v", rec != nil, err)
 	}
 
 	// Errors cross the ATM path too.
-	req, _ = gobEncode(getDocReq{Name: "missing"})
-	if _, err := sess.CallOver(MethodGetDoc, req); err == nil {
+	if _, err := sess.CallOver(MethodGetDoc, EncodeGetDoc("missing")); err == nil {
 		t.Error("missing doc over ATM succeeded")
 	}
 	if sess.Pending() != 0 {
@@ -293,10 +289,10 @@ func TestDBOverATM(t *testing.T) {
 	}
 }
 
-// TestATMFrameVolumePinned pins the ATM message size behind E5: the
-// navigator's course delivery returns a 6,567-byte gob record, which
-// must travel as a 6,600-byte frame (the 29-byte header, an empty
-// name, the 4-byte payload length) in 138 cells.
+// TestATMFrameVolumePinned pins ATM frame sizing on a synthetic
+// 6,567-byte response payload: it must travel as a 6,600-byte frame
+// (the 29-byte header, an empty name, the 4-byte payload length) in
+// 138 cells.
 func TestATMFrameVolumePinned(t *testing.T) {
 	const record = 6567
 	mux := NewMux()
@@ -379,7 +375,7 @@ func TestATMSessionSurvivesResponseLoss(t *testing.T) {
 	// db→sw→user; congest sw→user? The flood x1→x2 shares sw only.
 	// Instead overload the session's own response path: issue many
 	// large fetches at once so the 16-cell buffer drops chunks.
-	req, _ := EncodeGetContent("store/v.mpg")
+	req := EncodeGetContent("store/v.mpg")
 	errs := 0
 	done := 0
 	for i := 0; i < 8; i++ {

@@ -13,6 +13,17 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# One payload codec: the courseware-database path, the cluster router
+# and span export encode through internal/wire, so gob must not creep
+# back into their non-test code.
+echo "==> no encoding/gob in non-test internal/transport, internal/cluster, internal/obs"
+gob=$(go list -f '{{$d := .Dir}}{{range .Imports}}{{if eq . "encoding/gob"}}{{$d}}{{"\n"}}{{end}}{{end}}' \
+	./internal/transport/... ./internal/cluster/... ./internal/obs/...)
+if [ -n "$gob" ]; then
+	echo "FAIL: encoding/gob imported by non-test code in: $gob" >&2
+	exit 1
+fi
+
 echo "==> go run ./cmd/mitslint -ci -baseline lint.baseline.json ./..."
 go run ./cmd/mitslint -ci -baseline lint.baseline.json ./...
 
@@ -25,6 +36,8 @@ go test -race ./...
 # beyond them. Sequential: go fuzzing owns all CPUs per target.
 for target in \
 	FuzzFrameDecode:./internal/transport/ \
+	FuzzContentChunkDecode:./internal/transport/ \
+	FuzzDBCodec:./internal/transport/ \
 	FuzzAAL5Reassemble:./internal/atm/ \
 	FuzzMHEGDecode:./internal/mheg/codec/ \
 	FuzzMarkupParse:./internal/markup/ \
